@@ -341,7 +341,7 @@ impl SynthesisPipeline {
         crate::session::run_mechanism(
             &refs,
             seeds,
-            None,
+            &vec![None; refs.len()],
             self.config.privacy_test,
             target,
             target.saturating_mul(self.config.max_candidate_factor),

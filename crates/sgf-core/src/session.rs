@@ -126,10 +126,11 @@ impl EngineBuilder {
         self
     }
 
-    /// Whether the session's partition store carries a shared class-match
-    /// cache (`sgf_index::ClassMatchCache`, default on).  Decisions and RNG
-    /// streams are identical either way; disabling it only forces every
-    /// request to re-evaluate the per-class model probabilities.
+    /// Whether the session's trained partition store carries a shared
+    /// class-match cache (`sgf_index::ClassMatchCache`, default on; the
+    /// per-ω stores never do).  Decisions and RNG streams are identical
+    /// either way; disabling it only forces every request to re-evaluate the
+    /// per-class model probabilities.
     pub fn class_cache(mut self, enabled: bool) -> Self {
         self.config.class_cache = enabled;
         self
@@ -229,7 +230,9 @@ impl SynthesisEngine {
         // store is keyed on the largest likelihood-relevant attribute set of
         // the session's ω spec — the kept attributes at the smallest
         // admissible ω — so it covers every fixed-ω synthesizer the session's
-        // default spec can produce.
+        // default spec can produce.  Each smaller ω gets a slot whose store,
+        // keyed on that ω's own kept attributes, is built on first use.
+        let lo = trained_omega(self.config.omega);
         let build_start = Instant::now();
         let index = match self.config.seed_index {
             SeedIndex::Scan | SeedIndex::Partition => None,
@@ -246,10 +249,6 @@ impl SynthesisEngine {
         let partition = match self.config.seed_index {
             SeedIndex::Scan | SeedIndex::Inverted => None,
             SeedIndex::Partition | SeedIndex::Auto => {
-                let lo = match self.config.omega {
-                    OmegaSpec::Fixed(w) => w,
-                    OmegaSpec::UniformRange { lo, .. } => lo,
-                };
                 let synthesizer = SeedSynthesizer::new(Arc::clone(&models.cpts), lo)?;
                 let store =
                     PartitionIndexStore::build(&split.seeds, synthesizer.kept_attributes())?;
@@ -264,6 +263,13 @@ impl SynthesisEngine {
             build_start.elapsed()
         } else {
             Duration::ZERO
+        };
+        let omega_stores = if partition.is_some() {
+            (1..lo)
+                .map(|w| (w, omega_store_build(&split.seeds, &models.cpts, w)))
+                .collect()
+        } else {
+            BTreeMap::new()
         };
         sgf_metrics::timer("core.train").observe(training);
         sgf_metrics::timer("core.index_build").observe(index_build);
@@ -290,6 +296,7 @@ impl SynthesisEngine {
                 models,
                 index: StoreSlot::ready(index),
                 partition: StoreSlot::ready(partition),
+                omega_stores,
                 index_build,
                 training,
             }),
@@ -424,13 +431,15 @@ impl ReleaseReport {
 /// off): the trace holds the span-level detail, this block the summary.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Provenance {
-    /// Store granularity that served the privacy tests (`"scan"`,
-    /// `"inverted"`, `"partition"` — see [`SeedStore::kind`]).
+    /// Store granularity that served the privacy tests of the request's
+    /// smallest-ω model — the largest likelihood set, so the store whose key
+    /// is widest (`"scan"`, `"inverted"`, `"partition"` — see
+    /// [`SeedStore::kind`]).
     pub store: &'static str,
     /// Seed records the store draws from (`|D_S|`).
     pub seeds: usize,
-    /// Likelihood-equivalence classes of the partition store, when it served
-    /// the request.
+    /// Likelihood-equivalence classes of that store, when it is a partition
+    /// store.
     pub classes: Option<usize>,
     /// Effective ω spec (request override or session default).
     pub omega: OmegaSpec,
@@ -611,6 +620,12 @@ impl<S> StoreSlot<S> {
         self.get();
         self.cell.get().expect("just materialized").clone()
     }
+
+    /// A shared handle if the slot is already materialized; never runs the
+    /// deferred work.
+    fn peek(&self) -> Option<Arc<S>> {
+        self.cell.get().cloned().flatten()
+    }
 }
 
 impl<S> std::fmt::Debug for StoreSlot<S> {
@@ -624,8 +639,8 @@ impl<S> std::fmt::Debug for StoreSlot<S> {
 }
 
 /// The immutable trained artifacts of a session, shared (via `Arc`) across
-/// every clone: the data split, the learned models, and the inverted seed
-/// index.  Training — and the index build — happen exactly once per
+/// every clone: the data split, the learned models, and the seed stores.
+/// Training — and each store build — happen exactly once per
 /// [`SynthesisEngine::train`] call no matter how many handles serve requests.
 #[derive(Debug)]
 struct SessionShared {
@@ -635,11 +650,23 @@ struct SessionShared {
     /// session policy is [`SeedIndex::Scan`] or [`SeedIndex::Partition`]) and
     /// spliced lazily after an [`update`](SynthesisSession::update).
     index: StoreSlot<InvertedIndexStore>,
-    /// The partition-aware store of likelihood-equivalence classes, built at
-    /// train time (absent when the session policy is [`SeedIndex::Scan`] or
-    /// [`SeedIndex::Inverted`]) and spliced lazily after an
-    /// [`update`](SynthesisSession::update).
+    /// The trained partition store of likelihood-equivalence classes, keyed
+    /// on the kept attributes at the session's smallest ω, so it serves
+    /// every synthesizer with that ω or more.  Built at train time (absent
+    /// when the session policy is [`SeedIndex::Scan`] or
+    /// [`SeedIndex::Inverted`]), carries the class-match cache, and is
+    /// spliced lazily after an [`update`](SynthesisSession::update).
     partition: StoreSlot<PartitionIndexStore>,
+    /// One slot per ω below the trained ω (present exactly when `partition`
+    /// is): a partition store keyed on that ω's own kept attributes, so a
+    /// synthesizer the trained store cannot cover still tests one class per
+    /// candidate.  Nothing is built at train time; the first request that
+    /// needs a slot builds it, once, for every clone.  The store carries no
+    /// class-match cache: its key equals the synthesizer's likelihood set,
+    /// so a lookup finds at most one class and there is no row to share.
+    /// [`update`](SynthesisSession::update) splices a store the parent epoch
+    /// built and leaves every other slot to build on first use.
+    omega_stores: BTreeMap<usize, StoreSlot<PartitionIndexStore>>,
     index_build: Duration,
     training: Duration,
 }
@@ -739,26 +766,55 @@ impl SynthesisSession {
         self.shared.index.get()
     }
 
-    /// The partition-aware store of likelihood-equivalence classes, if the
-    /// session built one.  Clones of the same session return the same shared
+    /// The trained partition store of likelihood-equivalence classes (keyed
+    /// on the kept attributes at the session's smallest ω), if the session
+    /// built one.  Clones of the same session return the same shared
     /// instance.  After an [`update`](SynthesisSession::update), the first
     /// accessor call splices the deferred delta into the store (exactly once).
+    /// Synthesizers with a smaller ω are served by per-ω stores built on
+    /// first use, which this accessor never builds.
     pub fn partition_store(&self) -> Option<&PartitionIndexStore> {
         self.shared.partition.get()
     }
 
-    /// Resolve the effective store for a request: the request override, else
-    /// the session policy.  `None` means "use the linear scan".
+    /// The partition store that covers a model with likelihood set
+    /// `likelihood`: the trained store when its key covers the set, else —
+    /// for the seed synthesizer of fixed ω `omega` — that ω's own store,
+    /// built on first use.
+    fn covering_partition(
+        &self,
+        likelihood: Option<&[usize]>,
+        omega: Option<usize>,
+    ) -> Option<&PartitionIndexStore> {
+        let trained = self.shared.partition.get()?;
+        if trained.covers(likelihood) {
+            return Some(trained);
+        }
+        self.shared
+            .omega_stores
+            .get(&omega?)?
+            .get()
+            .filter(|store| store.covers(likelihood))
+    }
+
+    /// Resolve the store for one model of a request, under the request's
+    /// policy override, else the session policy.  `None` means "use the
+    /// linear scan".
     ///
-    /// `likelihood` is the request model's likelihood guarantee
-    /// ([`GenerativeModel::likelihood_attributes`]); [`SeedIndex::Auto`]
-    /// prefers the partition store only when its class keying covers it (so
-    /// tests run at class granularity), degrading to the inverted index
-    /// otherwise.
+    /// `likelihood` is the model's likelihood guarantee
+    /// ([`GenerativeModel::likelihood_attributes`]) and `omega` its fixed ω
+    /// when it is the session's seed synthesizer.  [`SeedIndex::Auto`] and
+    /// [`SeedIndex::Partition`] pick the partition store that covers the
+    /// model (see [`covering_partition`](Self::covering_partition)), so its
+    /// tests run at class granularity; without one, `Auto` degrades to the
+    /// inverted index and `Partition` to the trained store's per-record walk.
+    /// Callers resolve every model's store on the request thread, before any
+    /// proposal runs, so a per-ω store is built there and only once.
     fn resolve_store(
         &self,
         request: &GenerateRequest,
         likelihood: Option<&[usize]>,
+        omega: Option<usize>,
     ) -> Result<Option<&dyn SeedStore>> {
         match request.seed_index.unwrap_or(self.config.seed_index) {
             SeedIndex::Scan => Ok(None),
@@ -771,7 +827,10 @@ impl SynthesisSession {
                 ))),
             },
             SeedIndex::Partition => match self.shared.partition.get() {
-                Some(partition) => Ok(Some(partition as &dyn SeedStore)),
+                Some(trained) => Ok(Some(
+                    self.covering_partition(likelihood, omega)
+                        .unwrap_or(trained) as &dyn SeedStore,
+                )),
                 None => Err(CoreError::InvalidParameter(format!(
                     "request asked for SeedIndex::Partition but the session was trained \
                      with SeedIndex::{} (no partition store was built)",
@@ -782,13 +841,39 @@ impl SynthesisSession {
                 if self.seeds().len() < self.config.auto_index_min_seeds {
                     return Ok(None);
                 }
-                if let Some(partition) =
-                    self.shared.partition.get().filter(|p| p.covers(likelihood))
-                {
+                if let Some(partition) = self.covering_partition(likelihood, omega) {
                     return Ok(Some(partition as &dyn SeedStore));
                 }
                 Ok(self.shared.index.get().map(|index| index as &dyn SeedStore))
             }
+        }
+    }
+
+    /// The provenance block of a release whose smallest-ω model was served
+    /// by `store` (`None` = the scan).
+    fn provenance(
+        &self,
+        request: &GenerateRequest,
+        store: Option<&dyn SeedStore>,
+        workers: usize,
+        max_candidates: usize,
+        ledger_before: BudgetLedger,
+        trace_spans: usize,
+    ) -> Provenance {
+        Provenance {
+            store: store.map_or("scan", |s| s.kind()),
+            seeds: self.seeds().len(),
+            classes: store.and_then(|s| s.class_count()),
+            omega: request.omega.unwrap_or(self.config.omega),
+            workers,
+            max_candidates,
+            k: self.config.privacy_test.k,
+            gamma: self.config.privacy_test.gamma,
+            epsilon0: self.config.privacy_test.epsilon0,
+            request_seed: request.seed,
+            epoch: self.epoch,
+            ledger_before,
+            trace_spans,
         }
     }
 
@@ -904,7 +989,7 @@ impl SynthesisSession {
         request: &GenerateRequest,
     ) -> Result<ReleaseReport> {
         self.check_reservation(reserved, request)
-            .and_then(|_| self.generate_over(&[model], request, Some(reserved)))
+            .and_then(|_| self.generate_over(&[model], &[None], request, Some(reserved)))
             .inspect_err(|_| self.abort_reservation(reserved))
     }
 
@@ -919,7 +1004,8 @@ impl SynthesisSession {
         }
         let synthesizers = self.build_synthesizers(request.omega.unwrap_or(self.config.omega))?;
         let refs: Vec<&SeedSynthesizer> = synthesizers.iter().collect();
-        self.generate_over(&refs, request, reservation)
+        let omegas: Vec<Option<usize>> = synthesizers.iter().map(|s| Some(s.omega())).collect();
+        self.generate_over(&refs, &omegas, request, reservation)
     }
 
     /// A reserved request may not target more records than were admitted.
@@ -956,7 +1042,7 @@ impl SynthesisSession {
         model: &M,
         request: &GenerateRequest,
     ) -> Result<ReleaseReport> {
-        self.generate_over(&[model], request, None)
+        self.generate_over(&[model], &[None], request, None)
     }
 
     /// Open a streaming iterator over released records.  Records are proposed
@@ -995,10 +1081,10 @@ impl SynthesisSession {
     ) -> Result<ReleaseIter<'_>> {
         let (target, _workers, max_candidates) = self.request_limits(&request)?;
         let models = self.build_synthesizers(request.omega.unwrap_or(self.config.omega))?;
-        // models[0] is the smallest-ω synthesizer: its kept attributes are
-        // the largest likelihood set of the request, so if the partition
-        // store covers it, it covers every synthesizer of the request.
-        let store = self.resolve_store(&request, models[0].likelihood_attributes())?;
+        let stores = models
+            .iter()
+            .map(|m| self.resolve_store(&request, m.likelihood_attributes(), Some(m.omega())))
+            .collect::<Result<Vec<_>>>()?;
         // Validate the mechanism inputs once; `next` uses the raw hot path.
         Mechanism::new(&models[0], self.seeds(), self.config.privacy_test)?;
         let ledger_before = {
@@ -1010,7 +1096,7 @@ impl SynthesisSession {
         Ok(ReleaseIter {
             session: self,
             models,
-            store,
+            stores,
             rng: StdRng::seed_from_u64(request_worker_seed(request.seed, 0)),
             stats: MechanismStats::default(),
             target,
@@ -1049,16 +1135,22 @@ impl SynthesisSession {
         ))
     }
 
+    /// Serve one request over `models` (smallest ω first when they are seed
+    /// synthesizers, whose fixed ω `omegas` lists in the same order).
     fn generate_over<M: GenerativeModel + ?Sized>(
         &self,
         models: &[&M],
+        omegas: &[Option<usize>],
         request: &GenerateRequest,
         reservation: Option<usize>,
     ) -> Result<ReleaseReport> {
         let (target, workers, max_candidates) = self.request_limits(request)?;
-        let likelihood = models.first().and_then(|m| m.likelihood_attributes());
-        let store = self.resolve_store(request, likelihood)?;
-        let store_kind = store.map_or("scan", |s| s.kind());
+        let stores = models
+            .iter()
+            .zip(omegas)
+            .map(|(m, &w)| self.resolve_store(request, m.likelihood_attributes(), w))
+            .collect::<Result<Vec<_>>>()?;
+        let widest = stores.first().copied().flatten();
         let ledger_before = self.ledger();
         let tracing = sgf_metrics::trace().enabled();
         let mut probes: Vec<CandidateProbe> = Vec::new();
@@ -1066,7 +1158,7 @@ impl SynthesisSession {
         let (records, stats) = run_mechanism(
             models,
             self.seeds(),
-            store,
+            &stores,
             self.config.privacy_test,
             target,
             max_candidates,
@@ -1094,7 +1186,7 @@ impl SynthesisSession {
             commit_generate_trace(
                 self.scope.as_ref(),
                 request,
-                store_kind,
+                widest.map_or("scan", |s| s.kind()),
                 target,
                 workers,
                 &stats,
@@ -1104,23 +1196,14 @@ impl SynthesisSession {
         } else {
             0
         };
-        let provenance = Provenance {
-            store: store_kind,
-            seeds: self.seeds().len(),
-            classes: (store_kind == "partition")
-                .then(|| self.shared.partition.get().map(|p| p.class_count()))
-                .flatten(),
-            omega: request.omega.unwrap_or(self.config.omega),
+        let provenance = self.provenance(
+            request,
+            widest,
             workers,
             max_candidates,
-            k: self.config.privacy_test.k,
-            gamma: self.config.privacy_test.gamma,
-            epsilon0: self.config.privacy_test.epsilon0,
-            request_seed: request.seed,
-            epoch: self.epoch,
             ledger_before,
             trace_spans,
-        };
+        );
         Ok(ReleaseReport {
             synthetics: Dataset::from_records_unchecked(self.seeds().schema_arc(), records),
             stats,
@@ -1160,11 +1243,14 @@ impl SynthesisSession {
     /// merge in O(|Δ|) ([`sgf_model::StructureCounts`],
     /// [`sgf_model::CptCounts`], [`sgf_model::MarginalCounts`]), and the seed
     /// indexes splice their posting lists / equivalence classes in place
-    /// instead of rebuilding.  A delta touching `D_T` re-derives the
-    /// correlation matrix from the merged counts and re-learns the dependency
-    /// graph when the entrywise drift exceeds the configured
-    /// `drift_threshold`; a graph change cascades into a full CPT re-learn
-    /// and (if the kept-attribute key changed) a partition-store rebuild.
+    /// instead of rebuilding.  Splices are deferred to the first request of
+    /// the new epoch; a per-ω partition store the parent epoch never built
+    /// stays unbuilt until a request needs it.  A delta touching `D_T`
+    /// re-derives the correlation matrix from the merged counts and
+    /// re-learns the dependency graph when the entrywise drift exceeds the
+    /// configured `drift_threshold`; a graph change cascades into a full CPT
+    /// re-learn and (if a kept-attribute key changed) partition-store
+    /// rebuilds.
     ///
     /// **Equivalence invariant** (at the default `drift_threshold = 0.0`):
     /// the returned session's split, models, classes, and posting lists are
@@ -1355,14 +1441,9 @@ impl SynthesisSession {
         let partition = match self.config.seed_index {
             SeedIndex::Scan | SeedIndex::Inverted => StoreSlot::ready(None),
             SeedIndex::Partition | SeedIndex::Auto => {
-                let lo = match self.config.omega {
-                    OmegaSpec::Fixed(w) => w,
-                    OmegaSpec::UniformRange { lo, .. } => lo,
-                };
+                let lo = trained_omega(self.config.omega);
                 let synthesizer = SeedSynthesizer::new(Arc::clone(&models.cpts), lo)?;
-                let mut key: Vec<usize> = synthesizer.kept_attributes().to_vec();
-                key.sort_unstable();
-                key.dedup();
+                let key = normalized(synthesizer.kept_attributes());
                 let reusable = self
                     .shared
                     .partition
@@ -1397,6 +1478,34 @@ impl SynthesisSession {
                 }
             }
         };
+        // Per-ω stores: never forced here.  One the parent epoch built is
+        // spliced on first use (or shared when the seeds are untouched), as
+        // long as the ω's kept attributes did not change; every other slot
+        // builds on the post-delta seeds on first use.
+        let mut omega_stores = BTreeMap::new();
+        for (&w, slot) in &shared.omega_stores {
+            let spliceable = match slot.peek() {
+                Some(old) => {
+                    let synthesizer = SeedSynthesizer::new(Arc::clone(&models.cpts), w)?;
+                    let key = normalized(synthesizer.kept_attributes());
+                    Some(old).filter(|old| old.attributes() == key.as_slice())
+                }
+                None => None,
+            };
+            let slot = match spliceable {
+                Some(old) if seeds_untouched => StoreSlot::ready_shared(Some(old)),
+                Some(old) => {
+                    let deletes = Arc::clone(&seed_deletes);
+                    let ins = Arc::clone(&seed_inserts);
+                    StoreSlot::deferred(move || {
+                        old.apply_delta(&deletes, &ins)
+                            .expect("splice inputs were validated at update time")
+                    })
+                }
+                None => omega_store_build(&seeds_data, &models.cpts, w),
+            };
+            omega_stores.insert(w, slot);
+        }
         let index_build = build_start.elapsed();
         sgf_metrics::counter("core.updates").incr();
         sgf_metrics::timer("core.update").observe(start.elapsed());
@@ -1423,6 +1532,7 @@ impl SynthesisSession {
                 models,
                 index,
                 partition,
+                omega_stores,
                 index_build,
                 training,
             }),
@@ -1444,6 +1554,43 @@ fn role_slot(role: SplitRole) -> Option<usize> {
         SplitRole::Test => Some(3),
         SplitRole::Unassigned => None,
     }
+}
+
+/// The smallest ω of a spec: the ω whose kept attributes key the trained
+/// partition store.
+fn trained_omega(omega: OmegaSpec) -> usize {
+    match omega {
+        OmegaSpec::Fixed(w) => w,
+        OmegaSpec::UniformRange { lo, .. } => lo,
+    }
+}
+
+/// An attribute list sorted and deduplicated — a partition store's key.
+fn normalized(attributes: &[usize]) -> Vec<usize> {
+    let mut key = attributes.to_vec();
+    key.sort_unstable();
+    key.dedup();
+    key
+}
+
+/// A slot that builds, on first use, the partition store keyed on the kept
+/// attributes of the fixed-ω-`omega` synthesizer over `seeds` (no
+/// class-match cache — see `SessionShared::omega_stores`).  `omega` is
+/// below an ω the session already built a synthesizer for, so the build
+/// cannot fail.
+fn omega_store_build(
+    seeds: &Dataset,
+    cpts: &Arc<CptStore>,
+    omega: usize,
+) -> StoreSlot<PartitionIndexStore> {
+    let seeds = seeds.clone();
+    let cpts = Arc::clone(cpts);
+    StoreSlot::deferred(move || {
+        let synthesizer =
+            SeedSynthesizer::new(cpts, omega).expect("ω below the trained ω is valid");
+        PartitionIndexStore::build(&seeds, synthesizer.kept_attributes())
+            .expect("the kept attributes index the seed schema")
+    })
 }
 
 /// Apply one subset's delta: resolve `deletes` by value against the current
@@ -1491,7 +1638,8 @@ fn apply_subset_delta(
 pub struct ReleaseIter<'s> {
     session: &'s SynthesisSession,
     models: Vec<SeedSynthesizer>,
-    store: Option<&'s dyn SeedStore>,
+    /// `stores[i]` serves `models[i]` (`None` = the linear scan).
+    stores: Vec<Option<&'s dyn SeedStore>>,
     rng: StdRng,
     stats: MechanismStats,
     target: usize,
@@ -1516,24 +1664,14 @@ impl ReleaseIter<'_> {
     /// own, so those fields are fixed; the ledger snapshot is the one taken
     /// when the iterator was opened.
     pub fn provenance(&self) -> Provenance {
-        let store_kind = self.store.map_or("scan", |s| s.kind());
-        Provenance {
-            store: store_kind,
-            seeds: self.session.seeds().len(),
-            classes: (store_kind == "partition")
-                .then(|| self.session.shared.partition.get().map(|p| p.class_count()))
-                .flatten(),
-            omega: self.request.omega.unwrap_or(self.session.config.omega),
-            workers: 1,
-            max_candidates: self.max_candidates,
-            k: self.session.config.privacy_test.k,
-            gamma: self.session.config.privacy_test.gamma,
-            epsilon0: self.session.config.privacy_test.epsilon0,
-            request_seed: self.request.seed,
-            epoch: self.session.epoch,
-            ledger_before: self.ledger_before,
-            trace_spans: 0,
-        }
+        self.session.provenance(
+            &self.request,
+            self.stores[0],
+            1,
+            self.max_candidates,
+            self.ledger_before,
+            0,
+        )
     }
 }
 
@@ -1548,7 +1686,7 @@ impl Iterator for ReleaseIter<'_> {
                 self.rng.gen_range(0..self.models.len())
             };
             let scan;
-            let store: &dyn SeedStore = match self.store {
+            let store: &dyn SeedStore = match self.stores[which] {
                 Some(store) => store,
                 None => {
                     scan = LinearScanStore::new(self.session.seeds());
@@ -1717,8 +1855,9 @@ impl WorkerProfile {
 }
 
 /// The model-generic parallel release engine shared by the session API and the
-/// legacy pipeline: build (and validate) every [`Mechanism`] exactly once,
-/// then fan proposals out over the workers.
+/// legacy pipeline: build (and validate) every [`Mechanism`] exactly once —
+/// model `i` over seed store `stores[i]` (`None` = the linear scan) — then
+/// fan proposals out over the workers.
 ///
 /// # Determinism and contention
 ///
@@ -1745,7 +1884,7 @@ impl WorkerProfile {
 pub(crate) fn run_mechanism<M: GenerativeModel + ?Sized>(
     models: &[&M],
     seeds: &Dataset,
-    store: Option<&dyn SeedStore>,
+    stores: &[Option<&dyn SeedStore>],
     test: PrivacyTestConfig,
     target: usize,
     max_candidates: usize,
@@ -1759,12 +1898,20 @@ pub(crate) fn run_mechanism<M: GenerativeModel + ?Sized>(
             "at least one generative model is required".into(),
         ));
     }
+    if stores.len() != models.len() {
+        return Err(CoreError::InvalidParameter(format!(
+            "{} seed stores for {} generative models",
+            stores.len(),
+            models.len()
+        )));
+    }
     // Construct the mechanisms once per request (validation included); the
     // workers below only borrow them.
     let mechanisms: Vec<Mechanism<'_, M>> = models
         .iter()
-        .map(|m| match store {
-            Some(store) => Mechanism::with_store(*m, seeds, store, test),
+        .zip(stores)
+        .map(|(m, store)| match store {
+            Some(store) => Mechanism::with_store(*m, seeds, *store, test),
             None => Mechanism::new(*m, seeds, test),
         })
         .collect::<Result<_>>()?;
@@ -2224,6 +2371,199 @@ mod tests {
             report.stats.records_examined,
             report.stats.candidates
         );
+    }
+
+    /// ω settings below the ω = 9 a `small_engine` session is trained at:
+    /// the trained partition store covers none of their smallest-ω
+    /// synthesizers.
+    fn below_trained_omegas() -> [OmegaSpec; 3] {
+        [
+            OmegaSpec::UniformRange { lo: 5, hi: 11 },
+            OmegaSpec::UniformRange { lo: 6, hi: 8 },
+            OmegaSpec::Fixed(5),
+        ]
+    }
+
+    #[test]
+    fn omegas_below_the_trained_omega_release_the_scan_bytes() {
+        let data = generate_acs(4000, 45);
+        let bkt = acs_bucketizer(&acs_schema());
+        let session = small_engine(45).train(&data, &bkt).unwrap();
+        for omega in below_trained_omegas() {
+            for request_seed in 0..2u64 {
+                let base = GenerateRequest::new(15)
+                    .with_seed(request_seed)
+                    .with_omega(omega);
+                let scan = session
+                    .generate(&base.with_seed_index(SeedIndex::Scan))
+                    .unwrap();
+                for policy in [SeedIndex::Auto, SeedIndex::Partition] {
+                    let indexed = session.generate(&base.with_seed_index(policy)).unwrap();
+                    assert_eq!(
+                        indexed.synthetics.records(),
+                        scan.synthetics.records(),
+                        "{omega:?} under {policy} must release the scan's records"
+                    );
+                    assert_eq!(indexed.stats.candidates, scan.stats.candidates);
+                    assert_eq!(indexed.stats.released, scan.stats.released);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn omegas_below_the_trained_omega_test_one_class_per_candidate() {
+        let data = generate_acs(4000, 46);
+        let bkt = acs_bucketizer(&acs_schema());
+        let session = small_engine(46).train(&data, &bkt).unwrap();
+        for omega in below_trained_omegas() {
+            for policy in [SeedIndex::Auto, SeedIndex::Partition] {
+                let report = session
+                    .generate(
+                        &GenerateRequest::new(15)
+                            .with_seed(3)
+                            .with_omega(omega)
+                            .with_seed_index(policy),
+                    )
+                    .unwrap();
+                let stats = report.stats;
+                assert_eq!(
+                    stats.partition_tests, stats.candidates,
+                    "{omega:?} {policy}"
+                );
+                assert_eq!(stats.index_tests, 0, "{omega:?} {policy}");
+                assert_eq!(stats.scan_tests, 0, "{omega:?} {policy}");
+                assert!(
+                    stats.records_examined <= stats.candidates,
+                    "a key equal to the likelihood set is a single-class lookup"
+                );
+                // Provenance names the store of the smallest-ω synthesizer.
+                let lo = trained_omega(omega);
+                let widest = session.shared.omega_stores[&lo].get().unwrap();
+                assert_eq!(report.provenance.store, "partition");
+                assert_eq!(report.provenance.classes, Some(widest.class_count()));
+                assert!(widest.class_cache().is_none());
+            }
+        }
+        // A request the trained store covers reports the trained store.
+        let covered = session.generate(&GenerateRequest::new(5)).unwrap();
+        assert_eq!(
+            covered.provenance.classes,
+            Some(session.partition_store().unwrap().class_count())
+        );
+    }
+
+    #[test]
+    fn concurrent_generates_from_clones_build_each_omega_store_once() {
+        let data = generate_acs(4000, 47);
+        let bkt = acs_bucketizer(&acs_schema());
+        let session = small_engine(47).train(&data, &bkt).unwrap();
+        assert!(
+            session
+                .shared
+                .omega_stores
+                .values()
+                .all(|slot| slot.peek().is_none()),
+            "training builds no per-ω store"
+        );
+        let request = GenerateRequest::new(10)
+            .with_seed(1)
+            .with_omega(OmegaSpec::UniformRange { lo: 5, hi: 11 });
+        // Per-thread build counts are exact whatever else this test binary
+        // runs concurrently; their sum is every build the clones made.
+        let builds: usize = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..4)
+                .map(|_| {
+                    let clone = session.clone();
+                    scope.spawn(move || {
+                        let before = PartitionIndexStore::thread_build_count();
+                        clone.generate(&request).unwrap();
+                        PartitionIndexStore::thread_build_count() - before
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).sum()
+        });
+        assert_eq!(builds, 4, "one build for each of ω = 5, 6, 7, 8");
+        for (&w, slot) in &session.shared.omega_stores {
+            assert_eq!(slot.peek().is_some(), (5..9).contains(&w), "ω = {w}");
+        }
+    }
+
+    #[test]
+    fn update_leaves_omega_stores_unbuilt() {
+        let data = generate_acs(4000, 48);
+        let bkt = acs_bucketizer(&acs_schema());
+        let session = small_engine(48).train(&data, &bkt).unwrap();
+        // Build ω = 6..8; ω = 1..5 stay unbuilt.
+        session
+            .generate(&GenerateRequest::new(5).with_omega(OmegaSpec::UniformRange { lo: 6, hi: 8 }))
+            .unwrap();
+        let built = |s: &SynthesisSession| -> Vec<usize> {
+            s.shared
+                .omega_stores
+                .iter()
+                .filter(|(_, slot)| slot.peek().is_some())
+                .map(|(&w, _)| w)
+                .collect()
+        };
+        assert_eq!(built(&session), vec![6, 7, 8]);
+        let builds = PartitionIndexStore::thread_build_count();
+        let updated = session.update(&small_delta(&data, 10, 10, 58)).unwrap();
+        assert_eq!(
+            PartitionIndexStore::thread_build_count(),
+            builds,
+            "update must not build a store"
+        );
+        // Neither the deferred splices (ω = 6..8) nor the deferred builds
+        // (ω = 1..5) ran, and the parent's slots are as they were.
+        assert!(built(&updated).is_empty());
+        assert_eq!(
+            updated
+                .shared
+                .omega_stores
+                .keys()
+                .copied()
+                .collect::<Vec<_>>(),
+            (1..9).collect::<Vec<_>>()
+        );
+        assert_eq!(built(&session), vec![6, 7, 8]);
+    }
+
+    #[test]
+    fn spliced_omega_stores_equal_fresh_builds() {
+        let data = generate_acs(4000, 49);
+        let bkt = acs_bucketizer(&acs_schema());
+        let session = small_engine(49).train(&data, &bkt).unwrap();
+        let request = GenerateRequest::new(10)
+            .with_seed(4)
+            .with_omega(OmegaSpec::UniformRange { lo: 5, hi: 11 });
+        session.generate(&request).unwrap();
+        let delta = small_delta(&data, 25, 40, 59);
+        let updated = session.update(&delta).unwrap();
+        // The parent built ω = 5..8, so the new epoch splices all four.
+        let builds = PartitionIndexStore::thread_build_count();
+        let served = updated.generate(&request).unwrap();
+        assert_eq!(
+            PartitionIndexStore::thread_build_count(),
+            builds,
+            "stores the parent built are spliced, not rebuilt"
+        );
+        let fresh = small_engine(49)
+            .train(&delta.apply(&data).unwrap(), &bkt)
+            .unwrap();
+        for w in 5..9 {
+            let spliced = updated.shared.omega_stores[&w].get().unwrap();
+            let kept = SeedSynthesizer::new(Arc::clone(&updated.models().cpts), w)
+                .unwrap()
+                .kept_attributes()
+                .to_vec();
+            let rebuilt = PartitionIndexStore::build(updated.seeds(), &kept).unwrap();
+            assert_eq!(*spliced, rebuilt, "ω = {w}");
+            assert_eq!(spliced, fresh.shared.omega_stores[&w].get().unwrap());
+        }
+        let retrained = fresh.generate(&request).unwrap();
+        assert_eq!(served.synthetics.records(), retrained.synthetics.records());
     }
 
     #[test]

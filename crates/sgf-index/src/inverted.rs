@@ -14,18 +14,22 @@
 //! hence appears in every chosen posting list; the intersection is therefore a
 //! sound superset and the exact γ-partition check still runs on the survivors.
 
-use crate::store::{CandidateIter, SeedStore};
+use crate::store::{BuildCounter, CandidateIter, SeedStore};
 use sgf_data::{AttributeBuckets, Bucketizer, DataError, Dataset, Record};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::cell::Cell;
 
 /// Upper bound on posting lists intersected per query (diminishing returns and
 /// rising constant costs beyond a handful of lists).
 pub const MAX_INTERSECT_LISTS: usize = 4;
 
-/// Process-wide count of [`InvertedIndexStore::build`] calls — a regression
-/// guard: sessions (and their clones) must share one index per train, so the
+/// Count of [`InvertedIndexStore::build`] calls — a regression guard:
+/// sessions (and their clones) must share one index per train, so the
 /// counter lets tests assert that no path silently rebuilds it.
-static BUILD_COUNT: AtomicUsize = AtomicUsize::new(0);
+static BUILDS: BuildCounter = BuildCounter::new(&THREAD_BUILDS);
+
+thread_local! {
+    static THREAD_BUILDS: Cell<usize> = const { Cell::new(0) };
+}
 
 /// Per-attribute slice of the index: the bucket map plus one ascending posting
 /// list per bucket.
@@ -126,7 +130,7 @@ impl InvertedIndexStore {
         // arbitrary (even non-terminating) behaviour.
         let mut priority: Vec<usize> = (0..m).collect();
         priority.sort_by(|&a, &b| weights[b].total_cmp(&weights[a]).then(a.cmp(&b)));
-        BUILD_COUNT.fetch_add(1, Ordering::Relaxed);
+        BUILDS.record();
         let store = InvertedIndexStore {
             len: seeds.len(),
             attributes,
@@ -241,9 +245,16 @@ impl InvertedIndexStore {
 
     /// Total number of successful [`build`](InvertedIndexStore::build) calls
     /// in this process (across all threads — tests measuring a delta should
-    /// run isolated from other index-building tests).
+    /// run isolated from other index-building tests, or use
+    /// [`thread_build_count`](InvertedIndexStore::thread_build_count)).
     pub fn build_count() -> usize {
-        BUILD_COUNT.load(Ordering::Relaxed)
+        BUILDS.process()
+    }
+
+    /// Successful [`build`](InvertedIndexStore::build) calls made on the
+    /// calling thread: exact even while other threads build concurrently.
+    pub fn thread_build_count() -> usize {
+        BUILDS.thread()
     }
 
     /// Approximate heap footprint of the posting lists, in bytes.
@@ -588,10 +599,11 @@ mod tests {
             ),
         ];
         for (deletes, inserts, weights) in cases {
-            let builds_before = InvertedIndexStore::build_count();
+            // Per-thread: other tests in this binary build concurrently.
+            let builds_before = InvertedIndexStore::thread_build_count();
             let updated = store.apply_delta(&deletes, &inserts, &weights).unwrap();
             assert_eq!(
-                InvertedIndexStore::build_count(),
+                InvertedIndexStore::thread_build_count(),
                 builds_before,
                 "apply_delta must not count as a build"
             );

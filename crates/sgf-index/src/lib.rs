@@ -19,7 +19,12 @@
 //!   over the candidate's highest-weight matching attributes;
 //! * [`PartitionIndexStore`] — seeds collapsed into likelihood-equivalence
 //!   classes (identical generation probability for every candidate), so the
-//!   γ-partition check runs once per class and counts with multiplicity;
+//!   γ-partition check runs once per class and counts with multiplicity.
+//!   The layout is flat (members grouped by class in one array, a sorted
+//!   array of 64-bit projection keys for allocation-free lookups), so a
+//!   session can afford one store per kept-attribute set: the trained store
+//!   serves every synthesizer its key covers, and each smaller ω gets its
+//!   own store, built on first use;
 //! * [`ClassMatchCache`] — an optional per-store cache of seed-independent
 //!   class-match rows, shared across every request of a session, so repeated
 //!   candidates with the same likelihood projection skip the per-class model
@@ -29,8 +34,8 @@
 //!   permutations, so the `max_check_plausible` early-termination knob can
 //!   examine a random subset without the per-candidate O(n) shuffle, and so
 //!   scan and index derive the **same** subset from the same RNG draw;
-//! * [`SeedIndex`] — the `Scan | Inverted | Auto` selection policy carried by
-//!   pipeline configurations and generate requests.
+//! * [`SeedIndex`] — the `Scan | Inverted | Partition | Auto` selection
+//!   policy carried by pipeline configurations and generate requests.
 
 pub mod inverted;
 pub mod partition;

@@ -19,9 +19,16 @@
 //! model offers no such guarantee the store degrades to a per-record
 //! [`SeedStore`] query that prunes classes on the exact-match attributes —
 //! still a sound superset, just without the multiplicity shortcut.
+//!
+//! When the key `A` equals a model's likelihood set and every key attribute
+//! is exact-match guaranteed (the seed synthesizer: `A` = its kept
+//! attributes), a test is one lookup of the candidate's projection — a
+//! binary search of the sorted key array, no allocation.  The layout is
+//! flat, so one store per kept-attribute set stays cheap.
 
-use crate::store::{CandidateIter, SeedStore};
+use crate::store::{BuildCounter, CandidateIter, SeedStore};
 use sgf_data::{DataError, Dataset, Record};
+use std::cell::Cell;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -156,32 +163,59 @@ pub struct ClassMatchLookup {
     pub hit: bool,
 }
 
-/// One likelihood-equivalence class: the seed records whose projections onto
-/// the store's key attributes are identical.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct EquivalenceClass {
-    /// The shared projection, in key-attribute (ascending) order.
-    projection: Vec<u16>,
-    /// Ascending member indices; `members[0]` is the representative.
-    members: Vec<u32>,
+/// Probe key of a projection (values in key-attribute order): FNV-1a over
+/// the 16-bit values.  Fixed and process-independent, so the sorted lookup
+/// array — and with it store equality — is a pure function of the indexed
+/// seeds.  Collisions are harmless: a probe confirms every equal key against
+/// the class projection.
+fn projection_key(values: impl Iterator<Item = u16>) -> u64 {
+    values.fold(0xcbf2_9ce4_8422_2325, |hash, value| {
+        (hash ^ u64::from(value)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Home slot of a projection key in a power-of-two open-addressing table of
+/// `len` slots: the key's high bits after a multiplicative mix, so FNV's
+/// weakly mixed low bits do not cluster.
+fn table_slot(key: u64, len: usize) -> usize {
+    (key.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> (64 - len.trailing_zeros())) as usize
+}
+
+/// Builds made by [`PartitionIndexStore::build`] (see
+/// [`PartitionIndexStore::thread_build_count`]).
+static BUILDS: BuildCounter = BuildCounter::new(&THREAD_BUILDS);
+
+thread_local! {
+    static THREAD_BUILDS: Cell<usize> = const { Cell::new(0) };
 }
 
 /// A seed store grouping records into likelihood-equivalence classes (see the
 /// module docs).
+///
+/// The layout is flat so that a store per kept-attribute set stays cheap:
+/// about 4 bytes per record plus ~30 bytes per class.  Classes are numbered
+/// in first-seen (ascending smallest member) order; that number indexes the
+/// member ranges, the projections, and the rows of the [`ClassMatchCache`].
 #[derive(Debug, Clone)]
 pub struct PartitionIndexStore {
     len: usize,
     /// The key attribute set `A`, ascending and deduplicated.
     attributes: Vec<usize>,
-    /// One entry per distinct projection, in first-seen (ascending record
-    /// index) order.
-    classes: Vec<EquivalenceClass>,
-    /// Projection (values in `attributes` order) → index into `classes`.
-    /// A BTreeMap (R2, ordered-iteration discipline): the map is only ever
-    /// probed by key today, but this store sits on the decision path of the
-    /// privacy test, and a BTreeMap keeps every future traversal of it
-    /// deterministic by construction.
-    by_projection: BTreeMap<Vec<u16>, u32>,
+    /// Every record index, grouped by class in class order and ascending
+    /// within a class; a class's first member is its representative.
+    members: Vec<u32>,
+    /// Class `c` owns `members[offsets[c]..offsets[c + 1]]` (one more entry
+    /// than there are classes, starting at 0).
+    offsets: Vec<u32>,
+    /// Class `c`'s projection (values in `attributes` order) is
+    /// `projections[c * w..(c + 1) * w]`, with `w = attributes.len()`.
+    projections: Vec<u16>,
+    /// `(projection key, class)` for every class, sorted ascending: a lookup
+    /// binary-searches the candidate's key without allocating and confirms
+    /// equal keys against the class projection.  A sorted array, not a hash
+    /// map (R2, ordered-iteration discipline): this store sits on the
+    /// decision path of the privacy test.
+    lookup: Vec<(u64, u32)>,
     /// The shared class-match cache, if one was attached with
     /// [`with_class_cache`](PartitionIndexStore::with_class_cache).  Clones
     /// share the same cache (it travels by `Arc`), so every handle of a
@@ -191,8 +225,8 @@ pub struct PartitionIndexStore {
 
 impl PartitionIndexStore {
     /// Group `seeds` into equivalence classes keyed on their projections onto
-    /// `attributes` (typically the session's largest likelihood-relevant
-    /// attribute set — the kept attributes at the smallest admissible ω).
+    /// `attributes` (a model's likelihood set — for the seed synthesizer, its
+    /// kept attributes).
     ///
     /// The attribute list may arrive in any order and with duplicates; it is
     /// normalized internally.  Every attribute must exist in the seed schema.
@@ -212,28 +246,85 @@ impl PartitionIndexStore {
                 "partition index supports at most u32::MAX seed records".into(),
             ));
         }
-        let mut classes: Vec<EquivalenceClass> = Vec::new();
-        let mut by_projection: BTreeMap<Vec<u16>, u32> = BTreeMap::new();
-        for (idx, record) in seeds.records().iter().enumerate() {
-            let projection: Vec<u16> = key.iter().map(|&a| record.get(a)).collect();
-            match by_projection.get(&projection) {
-                Some(&class) => classes[class as usize].members.push(idx as u32),
-                None => {
-                    by_projection.insert(projection.clone(), classes.len() as u32);
-                    classes.push(EquivalenceClass {
-                        projection,
-                        members: vec![idx as u32],
-                    });
+        let (n, w) = (seeds.len(), key.len());
+        // Number the classes in first-seen order through a scratch
+        // open-addressing table (slot = class + 1, 0 = empty), then lay the
+        // members out by counting sort, which keeps them ascending.
+        let mut keys: Vec<u64> = Vec::new();
+        let mut projections: Vec<u16> = Vec::new();
+        let mut class_of: Vec<u32> = Vec::with_capacity(n);
+        let mut table: Vec<u32> = vec![0; 64];
+        for idx in 0..n {
+            let record = seeds.record(idx);
+            let values = || key.iter().map(|&a| record.get(a));
+            let probe = projection_key(values());
+            let mut slot = table_slot(probe, table.len());
+            let class = loop {
+                match table[slot] {
+                    0 => {
+                        let class = keys.len();
+                        keys.push(probe);
+                        projections.extend(values());
+                        table[slot] = class as u32 + 1;
+                        if 2 * keys.len() > table.len() {
+                            table = vec![0; 2 * table.len()];
+                            for (class, &probe) in keys.iter().enumerate() {
+                                let mut slot = table_slot(probe, table.len());
+                                while table[slot] != 0 {
+                                    slot = (slot + 1) & (table.len() - 1);
+                                }
+                                table[slot] = class as u32 + 1;
+                            }
+                        }
+                        break class;
+                    }
+                    entry => {
+                        let class = entry as usize - 1;
+                        if keys[class] == probe
+                            && projections[class * w..(class + 1) * w]
+                                .iter()
+                                .copied()
+                                .eq(values())
+                        {
+                            break class;
+                        }
+                        slot = (slot + 1) & (table.len() - 1);
+                    }
                 }
-            }
+            };
+            class_of.push(class as u32);
         }
+        drop(table);
+        projections.shrink_to_fit();
+        let mut offsets: Vec<u32> = vec![0; keys.len() + 1];
+        for &class in &class_of {
+            offsets[class as usize + 1] += 1;
+        }
+        for class in 0..keys.len() {
+            offsets[class + 1] += offsets[class];
+        }
+        let mut fill: Vec<u32> = offsets[..keys.len()].to_vec();
+        let mut members: Vec<u32> = vec![0; n];
+        for (idx, &class) in class_of.iter().enumerate() {
+            members[fill[class as usize] as usize] = idx as u32;
+            fill[class as usize] += 1;
+        }
+        let mut lookup: Vec<(u64, u32)> = keys
+            .iter()
+            .enumerate()
+            .map(|(class, &probe)| (probe, class as u32))
+            .collect();
+        lookup.sort_unstable();
         let store = PartitionIndexStore {
-            len: seeds.len(),
+            len: n,
             attributes: key,
-            classes,
-            by_projection,
+            members,
+            offsets,
+            projections,
+            lookup,
             cache: None,
         };
+        BUILDS.record();
         sgf_metrics::counter("index.partition.builds").incr();
         sgf_metrics::timer("index.partition.build").observe(start.elapsed());
         sgf_metrics::summary("index.partition.classes").observe(store.class_count() as u64);
@@ -249,6 +340,15 @@ impl PartitionIndexStore {
             start.elapsed(),
         );
         Ok(store)
+    }
+
+    /// Successful [`build`](PartitionIndexStore::build) calls made on the
+    /// calling thread ([`apply_delta`] does not count): exact even while
+    /// other threads build concurrently.
+    ///
+    /// [`apply_delta`]: PartitionIndexStore::apply_delta
+    pub fn thread_build_count() -> usize {
+        BUILDS.thread()
     }
 
     /// Attach a fresh [`ClassMatchCache`] to this store (builder style).
@@ -270,9 +370,9 @@ impl PartitionIndexStore {
     /// the *current* seed dataset, `inserts` are records appended after the
     /// survivors (the canonical final-dataset order of
     /// `sgf_data::DatasetDelta::apply`).  Returns a new store equal — classes,
-    /// member lists, projection map — to a from-scratch
-    /// [`build`](PartitionIndexStore::build) on that final dataset, in
-    /// O(|classes| + |Δ|) instead of O(n).
+    /// member lists, projections, lookup array — to a from-scratch
+    /// [`build`](PartitionIndexStore::build) on that final dataset, without
+    /// re-grouping the survivors.
     ///
     /// If a [`ClassMatchCache`] is attached, the new store carries a cache
     /// with every resident row re-derived for the new class list: a row's
@@ -298,57 +398,102 @@ impl PartitionIndexStore {
                 )));
             }
         }
+        let w = self.attributes.len();
         // Remap surviving members (old index minus the number of deleted
         // indices below it) and drop deleted ones; empty classes disappear.
-        let mut classes: Vec<EquivalenceClass> = Vec::with_capacity(self.classes.len());
-        for class in &self.classes {
-            let members: Vec<u32> = class
-                .members
-                .iter()
-                .filter(|&&idx| deletes.binary_search(&(idx as usize)).is_err())
-                .map(|&idx| {
-                    let below = deletes.partition_point(|&d| d < idx as usize);
-                    idx - below as u32
-                })
-                .collect();
-            if !members.is_empty() {
-                classes.push(EquivalenceClass {
-                    projection: class.projection.clone(),
-                    members,
-                });
-            }
-        }
-        let mut by_projection: BTreeMap<Vec<u16>, u32> = classes
-            .iter()
-            .enumerate()
-            .map(|(i, c)| (c.projection.clone(), i as u32))
+        // Survivor `s` came from old class `origin[s]` and owns
+        // `kept[kept_offsets[s]..kept_offsets[s + 1]]`.
+        const GONE: u32 = u32::MAX;
+        let mut kept: Vec<u32> = Vec::with_capacity(survivors);
+        let mut kept_offsets: Vec<u32> = vec![0];
+        let mut origin: Vec<u32> = Vec::with_capacity(self.class_count());
+        let survivor_of: Vec<u32> = (0..self.class_count())
+            .map(|class| {
+                kept.extend(
+                    self.class_members(class)
+                        .iter()
+                        .filter(|&&idx| deletes.binary_search(&(idx as usize)).is_err())
+                        .map(|&idx| idx - deletes.partition_point(|&d| d < idx as usize) as u32),
+                );
+                if kept.len() == *kept_offsets.last().expect("starts at 0") as usize {
+                    return GONE;
+                }
+                origin.push(class as u32);
+                kept_offsets.push(kept.len() as u32);
+                origin.len() as u32 - 1
+            })
             .collect();
-        // Inserts land after the survivors, in delta order.
+        let surviving = origin.len();
+        // Inserts land after the survivors, in delta order: each joins the
+        // surviving class of its projection or opens a new one (numbered
+        // after the survivors, in first-insert order).
+        let mut opened: BTreeMap<Vec<u16>, u32> = BTreeMap::new();
+        let mut opened_projections: Vec<u16> = Vec::new();
+        let mut appended: Vec<(u32, u32)> = Vec::with_capacity(inserts.len());
         for (t, record) in inserts.iter().enumerate() {
             let idx = (survivors + t) as u32;
-            let projection: Vec<u16> = self.attributes.iter().map(|&a| record.get(a)).collect();
-            match by_projection.get(&projection) {
-                Some(&class) => classes[class as usize].members.push(idx),
+            let joined = self
+                .find_class(record)
+                .map(|class| survivor_of[class])
+                .filter(|&s| s != GONE);
+            let class = match joined {
+                Some(s) => s,
                 None => {
-                    by_projection.insert(projection.clone(), classes.len() as u32);
-                    classes.push(EquivalenceClass {
-                        projection,
-                        members: vec![idx],
-                    });
+                    let projection: Vec<u16> =
+                        self.attributes.iter().map(|&a| record.get(a)).collect();
+                    let next = (surviving + opened.len()) as u32;
+                    *opened.entry(projection).or_insert_with_key(|projection| {
+                        opened_projections.extend_from_slice(projection);
+                        next
+                    })
                 }
+            };
+            appended.push((class, idx));
+        }
+        // Stable: members of one class stay in (ascending) delta order.
+        appended.sort_by_key(|&(class, _)| class);
+        // Canonicalize to the from-scratch class order, ascending first
+        // member.  Survivors can swap places when a representative was
+        // deleted; opened classes start past every survivor, in the order
+        // they were opened.
+        let mut class_order: Vec<u32> = (0..surviving as u32).collect();
+        class_order.sort_unstable_by_key(|&s| kept[kept_offsets[s as usize] as usize]);
+        class_order.extend(surviving as u32..(surviving + opened.len()) as u32);
+        let mut position = vec![0u32; class_order.len()];
+        let mut members: Vec<u32> = Vec::with_capacity(survivors + inserts.len());
+        let mut offsets: Vec<u32> = Vec::with_capacity(class_order.len() + 1);
+        let mut projections: Vec<u16> = Vec::with_capacity(class_order.len() * w);
+        offsets.push(0);
+        for (pos, &id) in class_order.iter().enumerate() {
+            let id = id as usize;
+            position[id] = pos as u32;
+            if id < surviving {
+                members.extend_from_slice(
+                    &kept[kept_offsets[id] as usize..kept_offsets[id + 1] as usize],
+                );
+                projections.extend_from_slice(self.projection(origin[id] as usize));
+            } else {
+                let opened = id - surviving;
+                projections.extend_from_slice(&opened_projections[opened * w..(opened + 1) * w]);
             }
+            let first = appended.partition_point(|&(class, _)| (class as usize) < id);
+            let end = appended.partition_point(|&(class, _)| class as usize <= id);
+            members.extend(appended[first..end].iter().map(|&(_, idx)| idx));
+            offsets.push(members.len() as u32);
         }
-        // Canonicalize to the from-scratch class order: a build over the
-        // final dataset lists classes by first occurrence, i.e. ascending
-        // smallest member index.  Member lists are already ascending (the
-        // remap preserves order; inserted indices only grow), so sorting on
-        // `members[0]` reproduces that order exactly.
-        classes.sort_by_key(|c| c.members[0]);
-        for (i, class) in classes.iter().enumerate() {
-            *by_projection
-                .get_mut(&class.projection)
-                .expect("every class is mapped") = i as u32;
-        }
+        let mut lookup: Vec<(u64, u32)> = self
+            .lookup
+            .iter()
+            .filter(|&&(_, class)| survivor_of[class as usize] != GONE)
+            .map(|&(key, class)| (key, position[survivor_of[class as usize] as usize]))
+            .collect();
+        lookup.extend((surviving..class_order.len()).map(|id| {
+            let start = (id - surviving) * w;
+            let key = projection_key(opened_projections[start..start + w].iter().copied());
+            (key, position[id])
+        }));
+        lookup.sort_unstable();
+        let classes = class_order.len();
         let cache = self.cache.as_ref().map(|old| {
             let old_inner = old.locked();
             let mut inner = CacheInner {
@@ -364,13 +509,13 @@ impl PartitionIndexStore {
                     .iter()
                     .map(|a| self.attributes.binary_search(a).expect("covered key"))
                     .collect();
-                let row: Vec<bool> = classes
-                    .iter()
+                let row: Vec<bool> = (0..classes)
                     .map(|class| {
+                        let projection = &projections[class * w..(class + 1) * w];
                         positions
                             .iter()
                             .zip(key_projection.iter())
-                            .all(|(&pos, &value)| class.projection[pos] == value)
+                            .all(|(&pos, &value)| projection[pos] == value)
                     })
                     .collect();
                 inner.rows.insert(key.clone(), Arc::new(row));
@@ -384,8 +529,10 @@ impl PartitionIndexStore {
         let store = PartitionIndexStore {
             len: survivors + inserts.len(),
             attributes: self.attributes.clone(),
-            classes,
-            by_projection,
+            members,
+            offsets,
+            projections,
+            lookup,
             cache,
         };
         sgf_metrics::counter("index.partition.delta_applies").incr();
@@ -405,28 +552,25 @@ impl PartitionIndexStore {
 
     /// Number of distinct likelihood-equivalence classes.
     pub fn class_count(&self) -> usize {
-        self.classes.len()
+        self.offsets.len() - 1
     }
 
     /// Size of the largest equivalence class (0 for an empty store).
     pub fn largest_class(&self) -> usize {
-        self.classes
-            .iter()
-            .map(|c| c.members.len())
+        self.offsets
+            .windows(2)
+            .map(|w| (w[1] - w[0]) as usize)
             .max()
             .unwrap_or(0)
     }
 
-    /// Approximate heap footprint of the class member lists and projection
-    /// keys, in bytes.
+    /// Approximate heap footprint of the store's arrays (members, class
+    /// offsets, projections, lookup), in bytes.
     pub fn member_bytes(&self) -> usize {
-        self.classes
-            .iter()
-            .map(|c| {
-                c.members.len() * std::mem::size_of::<u32>()
-                    + c.projection.len() * std::mem::size_of::<u16>()
-            })
-            .sum()
+        self.members.len() * std::mem::size_of::<u32>()
+            + self.offsets.len() * std::mem::size_of::<u32>()
+            + self.projections.len() * std::mem::size_of::<u16>()
+            + self.lookup.len() * std::mem::size_of::<(u64, u32)>()
     }
 
     /// Whether the store's classes are sound for a model whose generation
@@ -435,6 +579,30 @@ impl PartitionIndexStore {
     /// `likelihood`, hence identical probabilities within a class).
     pub fn covers(&self, likelihood: Option<&[usize]>) -> bool {
         likelihood.is_some_and(|l| l.iter().all(|a| self.attributes.binary_search(a).is_ok()))
+    }
+
+    /// Class `class`'s projection onto the key attributes.
+    fn projection(&self, class: usize) -> &[u16] {
+        let w = self.attributes.len();
+        &self.projections[class * w..(class + 1) * w]
+    }
+
+    /// Class `class`'s ascending members.
+    fn class_members(&self, class: usize) -> &[u32] {
+        &self.members[self.offsets[class] as usize..self.offsets[class + 1] as usize]
+    }
+
+    /// The class whose projection equals `record`'s, if any: a binary search
+    /// of the lookup array, no allocation.
+    fn find_class(&self, record: &Record) -> Option<usize> {
+        let values = || self.attributes.iter().map(|&a| record.get(a));
+        let key = projection_key(values());
+        let first = self.lookup.partition_point(|&(k, _)| k < key);
+        self.lookup[first..]
+            .iter()
+            .take_while(|&&(k, _)| k == key)
+            .map(|&(_, class)| class as usize)
+            .find(|&class| self.projection(class).iter().copied().eq(values()))
     }
 
     /// The classes that can possibly contain plausible seeds for `candidate`,
@@ -448,12 +616,16 @@ impl PartitionIndexStore {
         if self.attributes.iter().all(|a| matched.contains(a)) {
             // Every key attribute must agree exactly: at most the class with
             // the candidate's own projection can hold plausible seeds.
-            let projection: Vec<u16> = self.attributes.iter().map(|&a| candidate.get(a)).collect();
-            let class = self
-                .by_projection
-                .get(&projection)
-                .map(|&c| (c as usize, &self.classes[c as usize]));
-            return ClassesState::Single(class);
+            let (next, end) = match self.find_class(candidate) {
+                Some(class) => (class, class + 1),
+                None => (0, 0),
+            };
+            return ClassesState {
+                store: self,
+                next,
+                end,
+                prune: Vec::new(),
+            };
         }
         // Walk every class, skipping those that provably disagree with the
         // candidate on an exact-match attribute inside the key set.
@@ -464,23 +636,27 @@ impl PartitionIndexStore {
             .filter(|(_, a)| matched.contains(a))
             .map(|(pos, &a)| (pos, candidate.get(a)))
             .collect();
-        ClassesState::Walk {
-            classes: self.classes.iter().enumerate(),
+        ClassesState {
+            store: self,
+            next: 0,
+            end: self.class_count(),
             prune,
         }
     }
 }
 
-/// Equality on the *indexed structure* — length, key attributes, classes
-/// (projections, member lists, order), and the projection map.  The attached
+/// Equality on the *indexed structure* — length, key attributes, member
+/// ranges, projections, and the lookup array.  The attached
 /// [`ClassMatchCache`] is deliberately ignored: it is a performance artifact
 /// whose residency depends on query history, never on what the store indexes.
 impl PartialEq for PartitionIndexStore {
     fn eq(&self, other: &Self) -> bool {
         self.len == other.len
             && self.attributes == other.attributes
-            && self.classes == other.classes
-            && self.by_projection == other.by_projection
+            && self.members == other.members
+            && self.offsets == other.offsets
+            && self.projections == other.projections
+            && self.lookup == other.lookup
     }
 }
 
@@ -491,6 +667,10 @@ impl SeedStore for PartitionIndexStore {
 
     fn kind(&self) -> &'static str {
         "partition"
+    }
+
+    fn class_count(&self) -> Option<usize> {
+        Some(PartitionIndexStore::class_count(self))
     }
 
     fn plausible_candidates<'s>(
@@ -559,40 +739,43 @@ impl SeedStore for PartitionIndexStore {
             // evaluations relative to the lazy walk change nothing
             // observable but time.
             Arc::new(
-                self.classes
-                    .iter()
-                    .map(|class| evaluate(class.members[0] as usize))
+                (0..self.class_count())
+                    .map(|class| evaluate(self.class_members(class)[0] as usize))
                     .collect(),
             )
         }))
     }
 }
 
-/// The two ways a class query walks the store.  Items carry the class's
-/// position in the store's class list, so cached match rows can be indexed.
+/// A class query's walk over a store: class positions `next..end`, skipping
+/// classes whose projection disagrees with a `(projection position,
+/// candidate value)` pair in `prune`.  A single-class lookup is the range of
+/// that one class with nothing to prune.  Items carry the class position, so
+/// cached match rows can be indexed.
 #[derive(Debug)]
-enum ClassesState<'a> {
-    /// Every key attribute is exact-match constrained: the single class with
-    /// the candidate's projection (or none).
-    Single(Option<(usize, &'a EquivalenceClass)>),
-    /// Walk every class, pruning on `(projection position, candidate value)`
-    /// pairs.
-    Walk {
-        classes: std::iter::Enumerate<std::slice::Iter<'a, EquivalenceClass>>,
-        prune: Vec<(usize, u16)>,
-    },
+struct ClassesState<'a> {
+    store: &'a PartitionIndexStore,
+    next: usize,
+    end: usize,
+    prune: Vec<(usize, u16)>,
 }
 
 impl<'a> ClassesState<'a> {
-    fn next_class(&mut self) -> Option<(usize, &'a EquivalenceClass)> {
-        match self {
-            ClassesState::Single(class) => class.take(),
-            ClassesState::Walk { classes, prune } => classes.find(|(_, class)| {
-                prune
-                    .iter()
-                    .all(|&(pos, value)| class.projection[pos] == value)
-            }),
+    fn next_class(&mut self) -> Option<(usize, &'a [u32])> {
+        let store = self.store;
+        while self.next < self.end {
+            let class = self.next;
+            self.next += 1;
+            let projection = store.projection(class);
+            if self
+                .prune
+                .iter()
+                .all(|&(pos, value)| projection[pos] == value)
+            {
+                return Some((class, store.class_members(class)));
+            }
         }
+        None
     }
 }
 
@@ -626,10 +809,10 @@ impl<'a> Iterator for LikelihoodClasses<'a> {
     fn next(&mut self) -> Option<LikelihoodClass<'a>> {
         self.state
             .next_class()
-            .map(|(index, class)| LikelihoodClass {
+            .map(|(index, members)| LikelihoodClass {
                 index,
-                representative: class.members[0] as usize,
-                members: &class.members,
+                representative: members[0] as usize,
+                members,
             })
     }
 }
@@ -651,7 +834,7 @@ impl Iterator for ClassCandidates<'_> {
             if let Some(&idx) = self.current.next() {
                 return Some(idx as usize);
             }
-            self.current = self.classes.next_class()?.1.members.iter();
+            self.current = self.classes.next_class()?.1.iter();
         }
     }
 }
@@ -793,8 +976,8 @@ mod tests {
         // Determinism regression (R2): every traversal of the store — class
         // enumeration, representative choice, member expansion — must be
         // identical across two builds from the same dataset.  The class list
-        // is first-seen ordered and the projection map is a BTreeMap, so
-        // nothing here may depend on hash iteration order.
+        // is first-seen ordered and the lookup array is sorted on a fixed
+        // key function, so nothing here may depend on hash iteration order.
         let data = dataset();
         let a = PartitionIndexStore::build(&data, &[0, 1]).unwrap();
         let b = PartitionIndexStore::build(&data, &[0, 1]).unwrap();
@@ -919,10 +1102,13 @@ mod tests {
     fn shape(store: &PartitionIndexStore) -> (Vec<usize>, Vec<(Vec<u16>, Vec<u32>)>) {
         (
             store.attributes().to_vec(),
-            store
-                .classes
-                .iter()
-                .map(|c| (c.projection.clone(), c.members.clone()))
+            (0..store.class_count())
+                .map(|c| {
+                    (
+                        store.projection(c).to_vec(),
+                        store.class_members(c).to_vec(),
+                    )
+                })
                 .collect(),
         )
     }
@@ -962,8 +1148,74 @@ mod tests {
                 inserts.len()
             );
             assert_eq!(shape(&updated), shape(&fresh));
-            assert_eq!(updated.by_projection, fresh.by_projection);
+            assert_eq!(updated.lookup, fresh.lookup);
         }
+    }
+
+    #[test]
+    fn apply_delta_revives_a_deleted_projection_as_a_new_class() {
+        let data = dataset();
+        let store = PartitionIndexStore::build(&data, &[0, 1]).unwrap();
+        // Record 1 is the only (0, 1) member: deleting it drops the class,
+        // and re-inserting the projection opens it again, last in order.
+        let inserts = vec![Record::new(vec![0, 1, 0]), Record::new(vec![0, 1, 1])];
+        let updated = store.apply_delta(&[1], &inserts).unwrap();
+        let fresh =
+            PartitionIndexStore::build(&final_dataset(&data, &[1], &inserts), &[0, 1]).unwrap();
+        assert_eq!(updated, fresh);
+        assert_eq!(shape(&updated).1[2], (vec![0, 1], vec![5, 6]));
+    }
+
+    #[test]
+    fn delta_chains_match_fresh_builds_on_many_classes() {
+        // A deterministic pseudo-random population with hundreds of classes,
+        // spliced through a chain of mixed deltas; every step must equal a
+        // fresh build and find each of its classes by projection.
+        let schema = Arc::new(
+            Schema::new(vec![
+                Attribute::categorical_anon("A", 17),
+                Attribute::categorical_anon("B", 13),
+                Attribute::categorical_anon("C", 3),
+            ])
+            .unwrap(),
+        );
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut draw = |bound: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % bound) as u16
+        };
+        let mut record = || Record::new(vec![draw(17), draw(13), draw(3)]);
+        let rows: Vec<Record> = (0..600).map(|_| record()).collect();
+        let mut data = Dataset::from_records_unchecked(Arc::clone(&schema), rows);
+        let mut store = PartitionIndexStore::build(&data, &[0, 1]).unwrap();
+        assert!(store.class_count() > 150);
+        for step in 0..12 {
+            let deletes: Vec<usize> = (0..data.len()).filter(|i| i % 37 == step).collect();
+            let inserts: Vec<Record> = (0..step * 5).map(|_| record()).collect();
+            store = store.apply_delta(&deletes, &inserts).unwrap();
+            data = final_dataset(&data, &deletes, &inserts);
+            let fresh = PartitionIndexStore::build(&data, &[0, 1]).unwrap();
+            assert_eq!(store, fresh, "step {step}");
+            for class in 0..store.class_count() {
+                let rep = store.class_members(class)[0] as usize;
+                assert_eq!(store.find_class(&data.records()[rep]), Some(class));
+            }
+        }
+    }
+
+    #[test]
+    fn builds_are_counted_per_thread() {
+        let data = dataset();
+        let before = PartitionIndexStore::thread_build_count();
+        let store = PartitionIndexStore::build(&data, &[0]).unwrap();
+        store.apply_delta(&[0], &[]).unwrap();
+        assert_eq!(PartitionIndexStore::thread_build_count(), before + 1);
+        let elsewhere = std::thread::spawn(PartitionIndexStore::thread_build_count)
+            .join()
+            .unwrap();
+        assert_eq!(elsewhere, 0, "a fresh thread has built nothing");
     }
 
     #[test]

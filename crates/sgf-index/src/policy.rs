@@ -15,16 +15,23 @@ pub enum SeedIndex {
     Scan,
     /// Always query the bucketized inverted index (train-time build required).
     Inverted,
-    /// Always query the partition-aware store of likelihood-equivalence
-    /// classes (train-time build required).  Tests for models whose
-    /// likelihood guarantee the store's keying does not cover degrade to the
-    /// store's per-record class walk.
+    /// Always query a partition-aware store of likelihood-equivalence
+    /// classes (train-time build of the trained store required).  Each
+    /// fixed-ω synthesizer of a request gets the store whose key covers it:
+    /// the trained store (keyed on the kept attributes at the session's
+    /// smallest ω) for ω at or above that ω, a per-ω store keyed on its own
+    /// kept attributes — built on first use and shared by every clone of the
+    /// session — below it.  Tests for models no store covers degrade to the
+    /// trained store's per-record class walk.
     Partition,
-    /// Build the indexes at train time and use them whenever the seed dataset
-    /// is large enough (`PipelineConfig::auto_index_min_seeds`, default
+    /// Build the inverted index and the trained partition store at train
+    /// time and use an index whenever the seed dataset is large enough
+    /// (`PipelineConfig::auto_index_min_seeds`, default
     /// [`SeedIndex::AUTO_MIN_SEEDS`]) for the index machinery to beat a
-    /// cache-friendly linear sweep — preferring the partition store when its
-    /// keying covers the request's model, the inverted index otherwise.
+    /// cache-friendly linear sweep.  Per fixed-ω synthesizer it prefers the
+    /// covering partition store, exactly as [`SeedIndex::Partition`] picks
+    /// it (including the per-ω stores built on first use), and falls back
+    /// to the inverted index for models no partition store covers.
     #[default]
     Auto,
 }

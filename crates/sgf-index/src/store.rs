@@ -3,7 +3,10 @@
 //! it, so the γ-likelihood partition test only runs on the survivors.
 
 use sgf_data::{Dataset, Record};
+use std::cell::Cell;
 use std::ops::Range;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::thread::LocalKey;
 
 use crate::inverted::PostingIntersection;
 use crate::partition::{ClassCandidates, ClassMatchLookup, LikelihoodClasses};
@@ -36,6 +39,13 @@ pub trait SeedStore: Send + Sync + std::fmt::Debug {
     /// Whether the store indexes zero records.
     fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+
+    /// Number of likelihood-equivalence classes, for a store that groups
+    /// seeds into them (`None` for the scan and the inverted index).  Purely
+    /// observational, like [`kind`](SeedStore::kind).
+    fn class_count(&self) -> Option<usize> {
+        None
     }
 
     /// Indices of every seed record that can plausibly have generated
@@ -97,6 +107,42 @@ pub trait SeedStore: Send + Sync + std::fmt::Debug {
         _evaluate: &mut dyn FnMut(usize) -> bool,
     ) -> Option<ClassMatchLookup> {
         None
+    }
+}
+
+/// Tally of one store type's builds, process-wide and per thread.
+///
+/// The process-wide count answers "did anything, on any thread, build this
+/// store?" but races every other test building concurrently in the same
+/// binary; the per-thread count is exact for builds made on the asking
+/// thread, whatever the test harness runs next to it.
+pub(crate) struct BuildCounter {
+    process: AtomicUsize,
+    thread: &'static LocalKey<Cell<usize>>,
+}
+
+impl BuildCounter {
+    pub(crate) const fn new(thread: &'static LocalKey<Cell<usize>>) -> Self {
+        BuildCounter {
+            process: AtomicUsize::new(0),
+            thread,
+        }
+    }
+
+    /// Count one build on the calling thread.
+    pub(crate) fn record(&self) {
+        self.process.fetch_add(1, Ordering::Relaxed);
+        self.thread.with(|count| count.set(count.get() + 1));
+    }
+
+    /// Builds in this process, across all threads.
+    pub(crate) fn process(&self) -> usize {
+        self.process.load(Ordering::Relaxed)
+    }
+
+    /// Builds made on the calling thread.
+    pub(crate) fn thread(&self) -> usize {
+        self.thread.with(Cell::get)
     }
 }
 

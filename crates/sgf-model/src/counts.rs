@@ -178,9 +178,10 @@ impl StructureCounts {
             }
         };
 
+        let mut terms = EntropyTerms::new(self.records);
         let mut single = Vec::with_capacity(m);
         for attr in 0..m {
-            let h = entropy_from_counts(&self.bucket_counts[attr]);
+            let h = terms.entropy(&self.bucket_counts[attr]);
             let h = match dp {
                 None => h,
                 Some(cfg) => {
@@ -195,7 +196,7 @@ impl StructureCounts {
         for i in 0..m {
             values[i * m + i] = 1.0;
             for j in (i + 1)..m {
-                let h_ij = entropy_from_counts(&self.joint_counts[self.pair_index(i, j)]);
+                let h_ij = terms.entropy(&self.joint_counts[self.pair_index(i, j)]);
                 let h_ij = match dp {
                     None => h_ij,
                     Some(cfg) => {
@@ -213,6 +214,55 @@ impl StructureCounts {
     }
 }
 
+/// [`entropy_from_counts`] with each cell's term `-p·log2(p)`, `p = c / n`,
+/// memoized by count `c` for one table total `n`.  Every table of a
+/// [`StructureCounts`] sums to its record count and sparse tables repeat
+/// small counts, so most cells skip the logarithm.  A term is the very
+/// expression `entropy_from_counts` evaluates, summed in the same cell order,
+/// so the entropies are bit-identical.
+struct EntropyTerms {
+    total: u64,
+    /// `terms[c]` for counts up to [`EntropyTerms::MEMO`]; NaN = not yet
+    /// computed (no term is NaN: `p` lies in `(0, 1]`).
+    terms: Vec<f64>,
+}
+
+impl EntropyTerms {
+    /// Largest count memoized; larger counts are rare and computed directly.
+    const MEMO: u64 = 1 << 16;
+
+    fn new(total: u64) -> Self {
+        EntropyTerms {
+            total,
+            terms: vec![f64::NAN; total.min(Self::MEMO) as usize + 1],
+        }
+    }
+
+    fn entropy(&mut self, counts: &[u64]) -> f64 {
+        let total: u64 = counts.iter().sum();
+        if total != self.total || total == 0 {
+            return entropy_from_counts(counts);
+        }
+        counts
+            .iter()
+            .filter(|&&c| c != 0)
+            .map(|&c| self.term(c))
+            .sum()
+    }
+
+    fn term(&mut self, count: u64) -> f64 {
+        let p = count as f64 / self.total as f64;
+        match self.terms.get_mut(count as usize) {
+            Some(term) if !term.is_nan() => *term,
+            Some(term) => {
+                *term = -p * p.log2();
+                *term
+            }
+            None => -p * p.log2(),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -220,6 +270,37 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use sgf_data::acs::{acs_bucketizer, acs_schema, generate_acs};
+
+    #[test]
+    fn memoized_entropy_terms_are_bit_identical() {
+        let tables: Vec<Vec<u64>> = vec![
+            vec![3, 0, 1, 1, 5, 0, 2],
+            vec![12, 0, 0, 0],
+            vec![1; 12],
+            vec![0, 6, 3, 3],
+        ];
+        let mut terms = EntropyTerms::new(12);
+        for table in &tables {
+            let expected = entropy_from_counts(table);
+            // Twice: once filling the memo, once reading it.
+            for _ in 0..2 {
+                assert_eq!(terms.entropy(table).to_bits(), expected.to_bits());
+            }
+        }
+        // A table with another total falls back to the direct routine.
+        let other = [7u64, 0, 1];
+        assert_eq!(
+            terms.entropy(&other).to_bits(),
+            entropy_from_counts(&other).to_bits()
+        );
+        // Counts beyond the memo are computed directly.
+        let big = [EntropyTerms::MEMO + 5, 3];
+        let mut wide = EntropyTerms::new(EntropyTerms::MEMO + 8);
+        assert_eq!(
+            wide.entropy(&big).to_bits(),
+            entropy_from_counts(&big).to_bits()
+        );
+    }
 
     #[test]
     fn fitted_counts_reproduce_the_dataset_matrix_bit_for_bit() {

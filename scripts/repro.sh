@@ -79,10 +79,12 @@ done
 
 # Seed-store decision-equivalence gate: fig_index asserts that scan, inverted
 # index, and partition store release byte-identical records in every swept
-# configuration, and prints the confirmation line below only after every
-# assertion held.  A store regression therefore fails this script (and CI)
-# even when the unit/property suites were skipped.
-if ! grep -q "byte-identical records in every configuration" "$OUTDIR/fig_index.txt"; then
+# configuration — including omega in R[5-11] served from sessions trained at
+# omega = 9, where each smaller omega gets its own partition store — and
+# prints the confirmation line below only after every assertion held.  A
+# store regression therefore fails this script (and CI) even when the
+# unit/property suites were skipped.
+if ! grep -q "byte-identical records in every configuration, including omega ranges below the trained omega" "$OUTDIR/fig_index.txt"; then
     echo "ERROR: fig_index did not confirm seed-store decision equivalence" >&2
     exit 1
 fi
