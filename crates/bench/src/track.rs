@@ -220,7 +220,7 @@ impl BenchDoc {
 
     /// Parse a document from JSON text.
     pub fn from_json(text: &str) -> Result<BenchDoc, String> {
-        let doc = sgf_metrics::json::parse(text).map_err(|e| e.to_string())?;
+        let doc = Json::parse(text).map_err(|e| e.to_string())?;
         Self::from_json_value(&doc)
     }
 
@@ -306,10 +306,14 @@ impl SeriesRecorder {
     /// Finish the series: append the `total` point (wall clock + the run's
     /// `core.mechanism.*` counter deltas), emit `BENCH_<series>.json` into
     /// `$SGF_BENCH_DIR` when set, and return the document.
+    ///
+    /// The `total` sums every point's counters, so it is noisy whenever any
+    /// point is: the series' deterministic points stay gated on their own.
     pub fn finish(mut self) -> BenchDoc {
         let delta = sgf_metrics::global().snapshot().delta(&self.before);
         let mut total =
             BenchPoint::new("total").value("wall_seconds", self.start.elapsed().as_secs_f64());
+        total.noisy = self.doc.points.iter().any(|point| point.noisy);
         for name in MECHANISM_COUNTERS {
             let value = delta.counter(&format!("core.mechanism.{name}"));
             if value > 0 {
@@ -398,7 +402,7 @@ impl TrajectoryEntry {
 
     /// Parse one trajectory line.
     pub fn from_json(text: &str) -> Result<TrajectoryEntry, String> {
-        let doc = sgf_metrics::json::parse(text).map_err(|e| e.to_string())?;
+        let doc = Json::parse(text).map_err(|e| e.to_string())?;
         let commit = doc
             .get("commit")
             .and_then(Json::as_str)
@@ -761,6 +765,19 @@ mod tests {
             .points
             .push(BenchPoint::new("brand_new").counter("x", 1));
         assert!(compare(&[current], &baseline, 0.05, false).is_empty());
+    }
+
+    #[test]
+    fn total_is_noisy_exactly_when_a_point_is() {
+        let mut quiet = SeriesRecorder::new("quiet", 1);
+        quiet.add(BenchPoint::new("w01").counter("released", 1));
+        assert!(!quiet.finish().point("total").unwrap().noisy);
+        let mut racy = SeriesRecorder::new("racy", 1);
+        racy.add(BenchPoint::new("w01").counter("released", 1));
+        racy.add(BenchPoint::new("w02").counter("released", 1).noisy());
+        let doc = racy.finish();
+        assert!(doc.point("total").unwrap().noisy);
+        assert!(!doc.point("w01").unwrap().noisy);
     }
 
     #[test]

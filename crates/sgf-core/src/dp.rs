@@ -14,6 +14,7 @@
 
 use crate::error::{CoreError, Result};
 use serde::{Deserialize, Serialize};
+use sgf_metrics::Json;
 use sgf_stats::DpBudget;
 
 /// Largest integer every `f64` at or below it represents exactly (2^53).
@@ -373,40 +374,30 @@ impl BudgetLedger {
         }
     }
 
-    /// Render the ledger as a JSON object for service / bench reporting.
-    pub fn to_json(&self) -> String {
+    /// The ledger as a JSON object for service / bench reporting.
+    pub fn to_json(&self) -> Json {
+        let model = self.model_budget();
         let total = self.total();
         let reserved_total = self.reserved_total();
-        format!(
-            "{{\"requests\":{},\"releases\":{},\"reserved\":{},\
-             \"model_epsilon\":{},\"model_delta\":{},\
-             \"per_release_epsilon\":{},\"per_release_delta\":{},\
-             \"total_epsilon\":{},\"total_delta\":{},\
-             \"reserved_epsilon\":{},\"reserved_delta\":{}}}",
-            self.requests,
-            self.releases,
-            self.reserved,
-            json_f64(self.model_budget().epsilon),
-            json_f64(self.model_budget().delta),
-            self.per_release
-                .map_or("null".into(), |b| json_f64(b.epsilon)),
-            self.per_release
-                .map_or("null".into(), |b| json_f64(b.delta)),
-            json_f64(total.epsilon),
-            json_f64(total.delta),
-            json_f64(reserved_total.epsilon),
-            json_f64(reserved_total.delta),
-        )
-    }
-}
-
-/// Format an `f64` as a JSON value (`null` for non-finite values, which JSON
-/// cannot represent).
-pub(crate) fn json_f64(value: f64) -> String {
-    if value.is_finite() {
-        format!("{value}")
-    } else {
-        "null".to_string()
+        Json::obj([
+            ("requests", Json::from(self.requests)),
+            ("releases", Json::from(self.releases)),
+            ("reserved", Json::from(self.reserved)),
+            ("model_epsilon", Json::from(model.epsilon)),
+            ("model_delta", Json::from(model.delta)),
+            (
+                "per_release_epsilon",
+                Json::from(self.per_release.map(|b| b.epsilon)),
+            ),
+            (
+                "per_release_delta",
+                Json::from(self.per_release.map(|b| b.delta)),
+            ),
+            ("total_epsilon", Json::from(total.epsilon)),
+            ("total_delta", Json::from(total.delta)),
+            ("reserved_epsilon", Json::from(reserved_total.epsilon)),
+            ("reserved_delta", Json::from(reserved_total.delta)),
+        ])
     }
 }
 
@@ -512,7 +503,7 @@ mod tests {
         assert_eq!(det.total().epsilon, 0.8);
         det.record_request(1);
         assert!(det.total().epsilon.is_infinite());
-        assert!(det.to_json().contains("\"per_release_epsilon\":null"));
+        assert_eq!(det.to_json().get("per_release_epsilon"), Some(&Json::Null));
     }
 
     fn capped_ledger(per_release: DpBudget) -> BudgetLedger {
@@ -561,8 +552,8 @@ mod tests {
         assert!(ledger.try_reserve(1, cap).is_err());
         assert_eq!(ledger.reserved_total(), ledger.total());
         let json = ledger.to_json();
-        assert!(json.contains("\"reserved\":0"));
-        assert!(json.contains("\"reserved_epsilon\":"));
+        assert_eq!(json.get("reserved").and_then(Json::as_u64), Some(0));
+        assert!(json.get("reserved_epsilon").is_some());
     }
 
     #[test]

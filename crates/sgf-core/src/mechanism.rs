@@ -7,6 +7,7 @@ use rand::Rng;
 use serde::{Deserialize, Serialize};
 use sgf_data::{Dataset, Record};
 use sgf_index::{LinearScanStore, SeedStore};
+use sgf_metrics::Json;
 use sgf_model::GenerativeModel;
 
 /// One released (or rejected) candidate together with the test diagnostics.
@@ -96,21 +97,20 @@ impl MechanismStats {
         self.class_cache_misses += other.class_cache_misses;
     }
 
-    /// Render the counters as a JSON object, so services and the bench
-    /// binaries can emit machine-readable reports.
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"candidates\":{},\"released\":{},\"records_examined\":{},\"index_tests\":{},\"scan_tests\":{},\"partition_tests\":{},\"class_cache_hits\":{},\"class_cache_misses\":{},\"pass_rate\":{}}}",
-            self.candidates,
-            self.released,
-            self.records_examined,
-            self.index_tests,
-            self.scan_tests,
-            self.partition_tests,
-            self.class_cache_hits,
-            self.class_cache_misses,
-            crate::dp::json_f64(self.pass_rate())
-        )
+    /// The counters as a JSON object, so services and the bench binaries
+    /// can emit machine-readable reports.
+    pub fn to_json(&self) -> Json {
+        Json::obj([
+            ("candidates", Json::from(self.candidates)),
+            ("released", Json::from(self.released)),
+            ("records_examined", Json::from(self.records_examined)),
+            ("index_tests", Json::from(self.index_tests)),
+            ("scan_tests", Json::from(self.scan_tests)),
+            ("partition_tests", Json::from(self.partition_tests)),
+            ("class_cache_hits", Json::from(self.class_cache_hits)),
+            ("class_cache_misses", Json::from(self.class_cache_misses)),
+            ("pass_rate", Json::from(self.pass_rate())),
+        ])
     }
 }
 

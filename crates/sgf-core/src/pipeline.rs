@@ -147,18 +147,6 @@ pub struct PipelineTimings {
     pub synthesis: Duration,
 }
 
-impl PipelineTimings {
-    /// Render the phase timings (in seconds) as a JSON object.
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"model_learning_seconds\":{},\"index_build_seconds\":{},\"synthesis_seconds\":{}}}",
-            crate::dp::json_f64(self.model_learning.as_secs_f64()),
-            crate::dp::json_f64(self.index_build.as_secs_f64()),
-            crate::dp::json_f64(self.synthesis.as_secs_f64())
-        )
-    }
-}
-
 /// The models trained by the pipeline.
 ///
 /// Cloning is shallow where it matters: the CPT store — by far the largest

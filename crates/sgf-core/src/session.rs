@@ -405,19 +405,6 @@ impl ReleaseReport {
     pub fn provenance_json(&self) -> Json {
         self.provenance.to_json(&self.ledger)
     }
-
-    /// Render the report (counters + budgets + provenance) as a JSON object.
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"stats\":{},\"synthesis_seconds\":{},\"request_epsilon\":{},\"ledger\":{},\
-             \"provenance\":{}}}",
-            self.stats.to_json(),
-            crate::dp::json_f64(self.synthesis.as_secs_f64()),
-            crate::dp::json_f64(self.request_budget().epsilon),
-            self.ledger.to_json(),
-            self.provenance_json().render(),
-        )
-    }
 }
 
 /// ProvSQL-style provenance of one release: which seed store served the
@@ -471,41 +458,25 @@ impl Provenance {
     /// post-request ledger of the same release) completes the budget
     /// before/after pair.
     pub fn to_json(&self, ledger_after: &BudgetLedger) -> Json {
-        let mut obj = BTreeMap::new();
-        obj.insert("store".to_string(), Json::from(self.store));
-        obj.insert("seeds".to_string(), Json::Int(self.seeds as i128));
-        let classes = match self.classes {
-            Some(classes) => Json::Int(classes as i128),
-            None => Json::Null,
-        };
-        obj.insert("classes".to_string(), classes);
-        obj.insert("omega".to_string(), Json::Str(render_omega(self.omega)));
-        obj.insert("workers".to_string(), Json::Int(self.workers as i128));
-        obj.insert(
-            "max_candidates".to_string(),
-            Json::Int(self.max_candidates as i128),
-        );
-        obj.insert("k".to_string(), Json::Int(self.k as i128));
-        obj.insert("gamma".to_string(), Json::Float(self.gamma));
-        let epsilon0 = match self.epsilon0 {
-            Some(epsilon0) => Json::Float(epsilon0),
-            None => Json::Null,
-        };
-        obj.insert("epsilon0".to_string(), epsilon0);
-        obj.insert(
-            "request_seed".to_string(),
-            Json::Int(self.request_seed as i128),
-        );
-        obj.insert("epoch".to_string(), Json::Int(self.epoch as i128));
-        let mut ledger = BTreeMap::new();
-        ledger.insert("before".to_string(), ledger_side_json(&self.ledger_before));
-        ledger.insert("after".to_string(), ledger_side_json(ledger_after));
-        obj.insert("ledger".to_string(), Json::Obj(ledger));
-        obj.insert(
-            "trace_spans".to_string(),
-            Json::Int(self.trace_spans as i128),
-        );
-        Json::Obj(obj)
+        let ledger = Json::obj([
+            ("before", ledger_side_json(&self.ledger_before)),
+            ("after", ledger_side_json(ledger_after)),
+        ]);
+        Json::obj([
+            ("store", Json::from(self.store)),
+            ("seeds", Json::from(self.seeds)),
+            ("classes", Json::from(self.classes)),
+            ("omega", Json::from(render_omega(self.omega))),
+            ("workers", Json::from(self.workers)),
+            ("max_candidates", Json::from(self.max_candidates)),
+            ("k", Json::from(self.k)),
+            ("gamma", Json::from(self.gamma)),
+            ("epsilon0", Json::from(self.epsilon0)),
+            ("request_seed", Json::from(self.request_seed)),
+            ("epoch", Json::from(self.epoch)),
+            ("ledger", ledger),
+            ("trace_spans", Json::from(self.trace_spans)),
+        ])
     }
 }
 
@@ -522,12 +493,12 @@ fn render_omega(omega: OmegaSpec) -> String {
 /// and request totals of the ledger at that point.
 fn ledger_side_json(ledger: &BudgetLedger) -> Json {
     let total = ledger.total();
-    let mut obj = BTreeMap::new();
-    obj.insert("epsilon".to_string(), Json::Float(total.epsilon));
-    obj.insert("delta".to_string(), Json::Float(total.delta));
-    obj.insert("releases".to_string(), Json::Int(ledger.releases as i128));
-    obj.insert("requests".to_string(), Json::Int(ledger.requests as i128));
-    Json::Obj(obj)
+    Json::obj([
+        ("epsilon", Json::from(total.epsilon)),
+        ("delta", Json::from(total.delta)),
+        ("releases", Json::from(ledger.releases)),
+        ("requests", Json::from(ledger.requests)),
+    ])
 }
 
 /// One privacy-test observation captured for tracing: which store served the
@@ -2754,7 +2725,7 @@ mod tests {
         );
         // And the provenance JSON is well-formed canonical JSON.
         let json = traced.provenance_json().render();
-        let parsed = sgf_metrics::json::parse(&json).expect("provenance JSON parses");
+        let parsed = sgf_metrics::Json::parse(&json).expect("provenance JSON parses");
         assert_eq!(
             parsed.get("store").and_then(|s| s.as_str()),
             Some(traced.provenance.store)
@@ -2887,7 +2858,7 @@ mod tests {
         );
         assert_eq!(second.provenance.epoch, 1);
         let json = second.provenance_json().render();
-        let parsed = sgf_metrics::json::parse(&json).expect("provenance JSON parses");
+        let parsed = sgf_metrics::Json::parse(&json).expect("provenance JSON parses");
         assert_eq!(parsed.get("epoch").and_then(|e| e.as_u64()), Some(1));
         // Updates chain: a further (even empty) delta bumps the epoch again.
         let empty = DatasetDelta::new(data.schema_arc());

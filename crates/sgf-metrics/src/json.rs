@@ -1,18 +1,33 @@
-//! A minimal JSON value type with a hand-rolled parser and serializer.
+//! The workspace's one JSON value type, with a hand-rolled parser and
+//! serializer.
 //!
-//! The metrics snapshots, the `BENCH_*.json` benchmark documents, and the
-//! perf-trajectory file all need machine-readable round-trippable encoding
-//! without the (vendored, attribute-less) serde stubs.  This module supports
-//! exactly the JSON subset those documents use: objects with string keys,
+//! Every JSON document the workspace reads or writes goes through [`Json`]:
+//! the metrics snapshots, the `BENCH_*.json` benchmark documents, the
+//! perf-trajectory file, the release reports of sgf-core (mechanism stats,
+//! budget ledger, provenance), and the sgf-serve wire protocol in both
+//! directions.  The build is offline and the vendored serde stub carries no
+//! serializer, so the grammar is implemented here: objects with string keys,
 //! arrays, strings, booleans, null, and numbers split into an exact integer
-//! variant (`Int`, counters and nanosecond totals) and a float variant
-//! (`Float`, wall clocks and ratios).
+//! variant (`Int`: seeds, counters, nanosecond totals) and a float variant
+//! (`Float`: budgets, wall clocks, ratios).
 //!
-//! Object keys are kept in a `BTreeMap`, so serialization order is
-//! deterministic — two equal documents always render byte-identically.
+//! Rendering is canonical: object keys are kept in a `BTreeMap`, so they
+//! come out sorted, and a float always carries a `.` or an exponent, so it
+//! parses back as a float.  Parsing a rendered document and rendering it
+//! again therefore reproduces the bytes.
+//!
+//! The parser reads untrusted wire input, so it never panics: every failure
+//! is a [`ParseError`], including nesting deeper than [`MAX_DEPTH`].
 
 use std::collections::BTreeMap;
 use std::fmt;
+
+/// The deepest array/object nesting [`Json::parse`] accepts.  The deepest
+/// document the workspace writes nests seven levels (a noisy `metrics`
+/// response: response, metrics, scopes, cell, summaries, summary, buckets);
+/// the limit keeps the parser's recursion on a connection thread's stack
+/// bounded whatever a client sends.
+pub const MAX_DEPTH: usize = 64;
 
 /// A JSON value (see the module docs for the supported subset).
 #[derive(Debug, Clone, PartialEq)]
@@ -35,6 +50,34 @@ pub enum Json {
 }
 
 impl Json {
+    /// Parse one complete JSON document; trailing non-whitespace is an
+    /// error.
+    pub fn parse(text: &str) -> Result<Json, ParseError> {
+        let mut parser = Parser {
+            bytes: text.as_bytes(),
+            pos: 0,
+            depth: 0,
+        };
+        parser.skip_ws();
+        let value = parser.value()?;
+        parser.skip_ws();
+        if parser.pos != parser.bytes.len() {
+            return Err(parser.error("trailing characters after the document"));
+        }
+        Ok(value)
+    }
+
+    /// An object built from `(key, value)` pairs; a repeated key keeps its
+    /// last value.
+    pub fn obj<'a>(fields: impl IntoIterator<Item = (&'a str, Json)>) -> Json {
+        Json::Obj(
+            fields
+                .into_iter()
+                .map(|(key, value)| (key.to_string(), value))
+                .collect(),
+        )
+    }
+
     /// The value as an object, if it is one.
     pub fn as_obj(&self) -> Option<&BTreeMap<String, Json>> {
         match self {
@@ -59,7 +102,9 @@ impl Json {
         }
     }
 
-    /// The value as an `f64` (both number variants), if it is a number.
+    /// The value as an `f64` (both number variants), if it is a number
+    /// (lossy above 2^53 for integers; use [`as_u64`](Json::as_u64) where
+    /// exactness matters).
     pub fn as_f64(&self) -> Option<f64> {
         match self {
             Json::Int(n) => Some(*n as f64),
@@ -68,12 +113,22 @@ impl Json {
         }
     }
 
-    /// The value as a `u64`, if it is a non-negative integer.
+    /// The value as a `u64`, if it is a non-negative integer.  Integer
+    /// literals are exact across the whole `u64` range; an integral float
+    /// such as `1e3` counts within f64's exact integer range (up to 2^53).
     pub fn as_u64(&self) -> Option<u64> {
         match self {
             Json::Int(n) => u64::try_from(*n).ok(),
+            Json::Float(x) if x.fract() == 0.0 && (0.0..=2f64.powi(53)).contains(x) => {
+                Some(*x as u64)
+            }
             _ => None,
         }
+    }
+
+    /// The value as a `usize`, if it is a non-negative integer that fits.
+    pub fn as_usize(&self) -> Option<usize> {
+        self.as_u64().and_then(|n| usize::try_from(n).ok())
     }
 
     /// The value as a bool, if it is one.
@@ -89,7 +144,7 @@ impl Json {
         self.as_obj().and_then(|map| map.get(key))
     }
 
-    /// Render the value as compact JSON.
+    /// Render the value as one line of canonical JSON.
     pub fn render(&self) -> String {
         let mut out = String::new();
         self.write(&mut out);
@@ -104,7 +159,7 @@ impl Json {
             Json::Int(n) => {
                 let _ = fmt::Write::write_fmt(out, format_args!("{n}"));
             }
-            Json::Float(x) => out.push_str(&render_f64(*x)),
+            Json::Float(x) => write_f64(out, *x),
             Json::Str(s) => write_string(out, s),
             Json::Arr(items) => {
                 out.push('[');
@@ -132,9 +187,22 @@ impl Json {
     }
 }
 
+impl fmt::Display for Json {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(&self.render())
+    }
+}
+
 impl From<u64> for Json {
     fn from(n: u64) -> Self {
         Json::Int(i128::from(n))
+    }
+}
+
+impl From<usize> for Json {
+    fn from(n: usize) -> Self {
+        // usize is at most 64 bits on every supported target.
+        Json::Int(n as i128)
     }
 }
 
@@ -150,19 +218,37 @@ impl From<&str> for Json {
     }
 }
 
+impl From<String> for Json {
+    fn from(s: String) -> Self {
+        Json::Str(s)
+    }
+}
+
+impl<T: Into<Json>> From<Option<T>> for Json {
+    fn from(value: Option<T>) -> Self {
+        value.map_or(Json::Null, Into::into)
+    }
+}
+
+impl<T: Into<Json>> From<Vec<T>> for Json {
+    fn from(items: Vec<T>) -> Self {
+        Json::Arr(items.into_iter().map(Into::into).collect())
+    }
+}
+
 /// Render an `f64` so that parsing it back yields the same value: finite
 /// numbers use Rust's shortest round-trip formatting (with a forced `.0` for
 /// integral values so they stay in the float domain), and non-finite numbers
 /// — which JSON cannot represent — render as `null`.
-fn render_f64(x: f64) -> String {
+fn write_f64(out: &mut String, x: f64) {
     if !x.is_finite() {
-        return "null".to_string();
+        out.push_str("null");
+        return;
     }
-    let s = format!("{x}");
-    if s.contains('.') || s.contains('e') || s.contains('E') {
-        s
-    } else {
-        format!("{s}.0")
+    let rendered = x.to_string();
+    out.push_str(&rendered);
+    if !rendered.contains(['.', 'e', 'E']) {
+        out.push_str(".0");
     }
 }
 
@@ -184,19 +270,6 @@ fn write_string(out: &mut String, s: &str) {
     out.push('"');
 }
 
-/// Parse a JSON document; trailing non-whitespace is an error.
-pub fn parse(text: &str) -> Result<Json, ParseError> {
-    let bytes = text.as_bytes();
-    let mut parser = Parser { bytes, pos: 0 };
-    parser.skip_ws();
-    let value = parser.value()?;
-    parser.skip_ws();
-    if parser.pos != bytes.len() {
-        return Err(parser.error("trailing characters after the document"));
-    }
-    Ok(value)
-}
-
 /// A parse failure: byte offset plus message.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParseError {
@@ -208,11 +281,7 @@ pub struct ParseError {
 
 impl fmt::Display for ParseError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "JSON parse error at byte {}: {}",
-            self.offset, self.message
-        )
+        write!(f, "invalid JSON at byte {}: {}", self.offset, self.message)
     }
 }
 
@@ -221,6 +290,8 @@ impl std::error::Error for ParseError {}
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -235,13 +306,20 @@ impl Parser<'_> {
         self.bytes.get(self.pos).copied()
     }
 
+    /// The unread input (empty at the end).
+    fn rest(&self) -> &[u8] {
+        self.bytes.get(self.pos..).unwrap_or_default()
+    }
+
     fn skip_ws(&mut self) {
         while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
             self.pos += 1;
         }
     }
 
-    fn expect(&mut self, byte: u8) -> Result<(), ParseError> {
+    // Named to stay visibly distinct from the panicking `Option::expect` /
+    // `Result::expect`: nothing in this parser is allowed to panic (R3).
+    fn expect_byte(&mut self, byte: u8) -> Result<(), ParseError> {
         if self.peek() == Some(byte) {
             self.pos += 1;
             Ok(())
@@ -251,12 +329,22 @@ impl Parser<'_> {
     }
 
     fn eat_literal(&mut self, literal: &str, value: Json) -> Result<Json, ParseError> {
-        if self.bytes[self.pos..].starts_with(literal.as_bytes()) {
+        if self.rest().starts_with(literal.as_bytes()) {
             self.pos += literal.len();
             Ok(value)
         } else {
             Err(self.error(&format!("expected `{literal}`")))
         }
+    }
+
+    /// Consume `open` and count one more level of nesting.
+    fn open(&mut self, open: u8) -> Result<(), ParseError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.error(&format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.expect_byte(open)?;
+        self.depth += 1;
+        Ok(())
     }
 
     fn value(&mut self) -> Result<Json, ParseError> {
@@ -274,58 +362,54 @@ impl Parser<'_> {
     }
 
     fn array(&mut self) -> Result<Json, ParseError> {
-        self.expect(b'[')?;
+        self.open(b'[')?;
         let mut items = Vec::new();
         self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
+        if self.peek() != Some(b']') {
+            loop {
+                self.skip_ws();
+                items.push(self.value()?);
+                self.skip_ws();
+                match self.peek() {
+                    Some(b',') => self.pos += 1,
+                    Some(b']') => break,
+                    _ => return Err(self.error("expected `,` or `]` in array")),
                 }
-                _ => return Err(self.error("expected `,` or `]` in array")),
             }
         }
+        self.pos += 1;
+        self.depth -= 1;
+        Ok(Json::Arr(items))
     }
 
     fn object(&mut self) -> Result<Json, ParseError> {
-        self.expect(b'{')?;
+        self.open(b'{')?;
         let mut map = BTreeMap::new();
         self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(map));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let value = self.value()?;
-            map.insert(key, value);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(map));
+        if self.peek() != Some(b'}') {
+            loop {
+                self.skip_ws();
+                let key = self.string()?;
+                self.skip_ws();
+                self.expect_byte(b':')?;
+                self.skip_ws();
+                let value = self.value()?;
+                map.insert(key, value);
+                self.skip_ws();
+                match self.peek() {
+                    Some(b',') => self.pos += 1,
+                    Some(b'}') => break,
+                    _ => return Err(self.error("expected `,` or `}` in object")),
                 }
-                _ => return Err(self.error("expected `,` or `}` in object")),
             }
         }
+        self.pos += 1;
+        self.depth -= 1;
+        Ok(Json::Obj(map))
     }
 
     fn string(&mut self) -> Result<String, ParseError> {
-        self.expect(b'"')?;
+        self.expect_byte(b'"')?;
         let mut out = String::new();
         loop {
             match self.peek() {
@@ -336,44 +420,62 @@ impl Parser<'_> {
                 }
                 Some(b'\\') => {
                     self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            self.pos += 1;
-                            let code = self.hex4()?;
-                            // Surrogate pairs are not needed by our documents;
-                            // map lone surrogates to the replacement character.
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                            continue;
-                        }
+                    let escaped = self.peek().ok_or_else(|| self.error("dangling escape"))?;
+                    self.pos += 1;
+                    match escaped {
+                        b'"' => out.push('"'),
+                        b'\\' => out.push('\\'),
+                        b'/' => out.push('/'),
+                        b'b' => out.push('\u{8}'),
+                        b'f' => out.push('\u{c}'),
+                        b'n' => out.push('\n'),
+                        b'r' => out.push('\r'),
+                        b't' => out.push('\t'),
+                        b'u' => out.push(self.unicode_escape()?),
                         _ => return Err(self.error("invalid escape sequence")),
                     }
-                    self.pos += 1;
+                }
+                Some(byte) if byte < 0x20 => {
+                    return Err(self.error("unescaped control character in string"))
                 }
                 Some(_) => {
-                    // Advance over one UTF-8 scalar (input is a &str, so the
-                    // byte stream is valid UTF-8).
+                    // Consume one UTF-8 scalar (the input is a &str, so the
+                    // byte stream is valid UTF-8 by construction; the error
+                    // arm is unreachable but must not be a panic).
                     let start = self.pos;
                     self.pos += 1;
-                    while self
-                        .bytes
-                        .get(self.pos)
-                        .is_some_and(|b| (*b & 0xc0) == 0x80)
-                    {
+                    while self.peek().is_some_and(|b| b & 0b1100_0000 == 0b1000_0000) {
                         self.pos += 1;
                     }
-                    if let Ok(chunk) = std::str::from_utf8(&self.bytes[start..self.pos]) {
-                        out.push_str(chunk);
-                    }
+                    let scalar = self
+                        .bytes
+                        .get(start..self.pos)
+                        .and_then(|chunk| std::str::from_utf8(chunk).ok())
+                        .ok_or_else(|| self.error("invalid UTF-8 in string"))?;
+                    out.push_str(scalar);
                 }
             }
+        }
+    }
+
+    /// The scalar of a `\u` escape (the `\u` already consumed): surrogate
+    /// pairs decode to one scalar, lone surrogates are rejected.
+    fn unicode_escape(&mut self) -> Result<char, ParseError> {
+        let unit = self.hex4()?;
+        if (0xD800..=0xDBFF).contains(&unit) {
+            if !self.rest().starts_with(b"\\u") {
+                return Err(self.error("lone high surrogate"));
+            }
+            self.pos += 2;
+            let low = self.hex4()?;
+            if !(0xDC00..=0xDFFF).contains(&low) {
+                return Err(self.error("invalid low surrogate"));
+            }
+            let scalar = 0x10000 + ((unit - 0xD800) << 10) + (low - 0xDC00);
+            char::from_u32(scalar).ok_or_else(|| self.error("invalid surrogate pair"))
+        } else {
+            // `from_u32` rejects a lone low surrogate.
+            char::from_u32(unit).ok_or_else(|| self.error("lone low surrogate"))
         }
     }
 
@@ -384,7 +486,7 @@ impl Parser<'_> {
                 Some(b @ b'0'..=b'9') => (b - b'0') as u32,
                 Some(b @ b'a'..=b'f') => (b - b'a') as u32 + 10,
                 Some(b @ b'A'..=b'F') => (b - b'A') as u32 + 10,
-                _ => return Err(self.error("invalid \\u escape")),
+                _ => return Err(self.error("expected 4 hex digits after \\u")),
             };
             code = code * 16 + digit;
             self.pos += 1;
@@ -418,8 +520,15 @@ impl Parser<'_> {
                 self.pos += 1;
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| self.error("non-UTF-8 number"))?;
+        // The consumed region is ASCII digits/sign/dot/exponent, so this
+        // never fails; but a parse error beats a worker panic.
+        let text = self
+            .bytes
+            .get(start..self.pos)
+            .and_then(|chunk| std::str::from_utf8(chunk).ok())
+            .ok_or_else(|| self.error("invalid number"))?;
+        // Integer literals stay exact (u64 seeds and counters); fractions,
+        // exponents, and literals beyond i128 go through f64.
         if !is_float {
             if let Ok(n) = text.parse::<i128>() {
                 return Ok(Json::Int(n));
@@ -434,6 +543,10 @@ impl Parser<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn parse(text: &str) -> Result<Json, ParseError> {
+        Json::parse(text)
+    }
 
     #[test]
     fn scalars_round_trip() {
@@ -452,6 +565,25 @@ mod tests {
     }
 
     #[test]
+    fn integer_literals_stay_exact_across_the_u64_range() {
+        // 2^53 + 1 is the first integer f64 cannot represent; u64::MAX is
+        // the worst case a request seed can carry.  Both must survive.
+        for n in [0u64, 9_007_199_254_740_993, u64::MAX - 1, u64::MAX] {
+            let parsed = parse(&n.to_string()).unwrap();
+            assert_eq!(parsed, Json::from(n));
+            assert_eq!(parsed.as_u64(), Some(n));
+            assert_eq!(parsed.render(), n.to_string());
+        }
+        // Integral but non-literal forms are usable inside f64's exact
+        // integer range only.
+        assert_eq!(parse("1e3").unwrap().as_u64(), Some(1000));
+        assert_eq!(parse("1e3").unwrap().as_usize(), Some(1000));
+        assert_eq!(parse("1e300").unwrap().as_u64(), None);
+        // Beyond u64::MAX the literal is no u64.
+        assert_eq!(parse("18446744073709551616").unwrap().as_u64(), None);
+    }
+
+    #[test]
     fn floats_round_trip_shortest() {
         let value = parse("0.1").unwrap();
         assert_eq!(value, Json::Float(0.1));
@@ -459,6 +591,10 @@ mod tests {
         // Integral floats keep their `.0` marker through a round trip.
         assert_eq!(Json::Float(2.0).render(), "2.0");
         assert_eq!(parse("2.0").unwrap(), Json::Float(2.0));
+        for x in [4.0, 1e300, 1e-300, -0.5, 1.0 / 3.0] {
+            let rendered = Json::Float(x).render();
+            assert_eq!(parse(&rendered).unwrap(), Json::Float(x), "{rendered}");
+        }
     }
 
     #[test]
@@ -469,6 +605,46 @@ mod tests {
         // Key order in the input does not matter: BTreeMap sorts.
         let shuffled = parse("{\"b\":{\"z\":null,\"nested\":true},\"a\":[1,2.5,\"x\"]}").unwrap();
         assert_eq!(shuffled.render(), text);
+        assert_eq!(shuffled.to_string(), text);
+    }
+
+    #[test]
+    fn parses_the_protocol_shapes() {
+        let v = parse(
+            r#"{"verb":"generate","target":10,"seed":7,"stream":false,"omega":{"lo":9,"hi":11},"record":[1,2,3],"cap":null}"#,
+        )
+        .unwrap();
+        assert_eq!(v.get("verb").and_then(Json::as_str), Some("generate"));
+        assert_eq!(v.get("target").and_then(Json::as_usize), Some(10));
+        assert_eq!(v.get("stream").and_then(Json::as_bool), Some(false));
+        assert_eq!(
+            v.get("omega")
+                .and_then(|o| o.get("hi"))
+                .and_then(Json::as_u64),
+            Some(11)
+        );
+        let record: Vec<u64> = v
+            .get("record")
+            .and_then(Json::as_arr)
+            .unwrap()
+            .iter()
+            .map(|x| x.as_u64().unwrap())
+            .collect();
+        assert_eq!(record, vec![1, 2, 3]);
+        assert_eq!(v.get("cap"), Some(&Json::Null));
+        assert_eq!(v.get("missing"), None);
+    }
+
+    #[test]
+    fn parses_numbers_strings_and_escapes() {
+        assert_eq!(parse("-12.5e2").unwrap().as_f64(), Some(-1250.0));
+        assert_eq!(parse("0").unwrap().as_usize(), Some(0));
+        assert_eq!(parse("1.5").unwrap().as_usize(), None);
+        assert_eq!(parse("-1").unwrap().as_usize(), None);
+        let s = parse(r#""a\"b\\c\nd\u00e9 \ud83e\udd80""#).unwrap();
+        assert_eq!(s.as_str(), Some("a\"b\\c\ndé 🦀"));
+        assert_eq!(parse("  true ").unwrap().as_bool(), Some(true));
+        assert_eq!(parse("[]").unwrap().as_arr(), Some(&[][..]));
     }
 
     #[test]
@@ -479,10 +655,23 @@ mod tests {
     }
 
     #[test]
+    fn strings_with_escapes_round_trip_through_parse() {
+        let original = "line\nwith \"quotes\", back\\slash, tab\t and unicode é🦀";
+        let rendered = Json::from(original).render();
+        assert_eq!(parse(&rendered).unwrap().as_str(), Some(original));
+        assert_eq!(parse(&rendered).unwrap().render(), rendered);
+    }
+
+    #[test]
     fn unicode_escapes_parse() {
         assert_eq!(
             parse("\"\\u0041\\u00e9\"").unwrap(),
             Json::Str("Aé".to_string())
+        );
+        // A surrogate pair decodes to one scalar.
+        assert_eq!(
+            parse("\"\\ud83e\\udd80\"").unwrap(),
+            Json::Str("🦀".to_string())
         );
     }
 
@@ -507,6 +696,54 @@ mod tests {
         }
         let err = parse("[1, @]").unwrap_err();
         assert_eq!(err.offset, 4);
+        assert!(
+            err.to_string().starts_with("invalid JSON at byte 4"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn rejects_malformed_documents() {
+        for bad in [
+            "",
+            "{",
+            "}",
+            "{\"a\"}",
+            "{\"a\":}",
+            "[1,",
+            "\"",
+            "tru",
+            "1 2",
+            "{\"a\":1,}",
+            "nul",
+            "\"\\q\"",
+            "\"\\ud800\"",
+            "\"\\udc00\"",
+            "\"\\ud800\\u0041\"",
+            "\"raw\ncontrol\"",
+        ] {
+            assert!(parse(bad).is_err(), "accepted malformed {bad:?}");
+        }
+    }
+
+    #[test]
+    fn nesting_is_limited_at_max_depth() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(parse(&nested(MAX_DEPTH)).is_ok());
+        let err = parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(err.offset, MAX_DEPTH);
+        assert!(err.message.contains("nesting"), "{err}");
+        let objects = format!(
+            "{}1{}",
+            "{\"a\":".repeat(MAX_DEPTH + 1),
+            "}".repeat(MAX_DEPTH + 1)
+        );
+        assert!(parse(&objects).is_err());
+        // Siblings do not add depth: the counter unwinds on every close.
+        let wide = format!("[{}]", vec![nested(MAX_DEPTH - 1); 3].join(","));
+        assert!(parse(&wide).is_ok());
+        // Far past the limit is a clean error, not a stack overflow.
+        assert!(parse(&"[".repeat(100_000)).is_err());
     }
 
     #[test]
@@ -521,5 +758,15 @@ mod tests {
         let max = Json::from(u64::MAX);
         assert_eq!(max, Json::Int(i128::from(u64::MAX)));
         assert_eq!(parse(&max.render()).unwrap().as_u64(), Some(u64::MAX));
+    }
+
+    #[test]
+    fn builders_make_canonical_objects() {
+        let doc = Json::obj([
+            ("z", Json::from(Some(1usize))),
+            ("a", Json::from(None::<f64>)),
+            ("m", Json::from(vec![1u64, 2])),
+        ]);
+        assert_eq!(doc.render(), "{\"a\":null,\"m\":[1,2],\"z\":1}");
     }
 }

@@ -4,8 +4,9 @@
 //! [`Counter`]s, wall-clock [`Timer`]s, and log2-bucket [`Summary`] histograms
 //! — that the perf-critical layers (sgf-core's mechanism loop, sgf-index's
 //! seed stores, sgf-serve's queue and worker pool) report into, plus the
-//! minimal [`json`] value type used to persist snapshots and benchmark
-//! documents without external dependencies.
+//! workspace's one JSON value type, [`Json`]: it persists snapshots and
+//! benchmark documents, carries sgf-core's release reports, and reads and
+//! writes the sgf-serve wire protocol, all without external dependencies.
 //!
 //! Two observability layers sit on top of the registry:
 //!

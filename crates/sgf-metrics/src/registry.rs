@@ -603,7 +603,7 @@ impl Snapshot {
 
     /// Parse a snapshot back from its JSON rendering.
     pub fn from_json(text: &str) -> Result<Snapshot, String> {
-        let doc = crate::json::parse(text).map_err(|e| e.to_string())?;
+        let doc = Json::parse(text).map_err(|e| e.to_string())?;
         Self::from_json_value(&doc)
     }
 

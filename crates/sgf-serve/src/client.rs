@@ -120,6 +120,12 @@ impl Client {
             .map_err(|e| ClientError::Protocol(format!("unparseable response line: {e}")))
     }
 
+    /// Send one request line and read its one-line response.
+    fn call(&mut self, line: &str) -> ClientResult<Value> {
+        self.send(line)?;
+        Self::check_rejection(self.read_value()?)
+    }
+
     /// Check a response line for `"ok":false` and convert it to a rejection.
     fn check_rejection(value: Value) -> ClientResult<Value> {
         if value.get("ok").and_then(Value::as_bool) == Some(false) {
@@ -207,33 +213,25 @@ impl Client {
     /// to its next epoch.  Returns the full response line (`epoch`, `seeds`,
     /// `inserts`, `deletes`).
     pub fn update(&mut self, call: &UpdateCall) -> ClientResult<Value> {
-        self.send(&call.encode())?;
-        Self::check_rejection(self.read_value()?)
+        self.call(&call.encode())
     }
 
     /// Send a raw protocol line and read back one response line — for
     /// protocol tests exercising malformed input; rejections surface as
     /// [`ClientError::Rejected`] like everywhere else.
     pub fn raw_roundtrip(&mut self, line: &str) -> ClientResult<Value> {
-        self.send(line)?;
-        Self::check_rejection(self.read_value()?)
+        self.call(line)
     }
 
     /// Fetch the server status object.
     pub fn status(&mut self) -> ClientResult<Value> {
-        self.send(&Request::Status.encode())?;
-        Self::check_rejection(self.read_value()?)
+        self.call(&Request::Status.encode())
     }
 
     /// Fetch a session's ledger object (the full response line).
     pub fn ledger(&mut self, session: &str) -> ClientResult<Value> {
-        self.send(
-            &Request::Ledger {
-                session: session.to_string(),
-            }
-            .encode(),
-        )?;
-        Self::check_rejection(self.read_value()?)
+        let session = session.to_string();
+        self.call(&Request::Ledger { session }.encode())
     }
 
     /// Fetch the labeled metrics snapshot (the full response line): the
@@ -241,33 +239,19 @@ impl Client {
     /// `noisy` opts into timers and summaries; the default counter-only
     /// document is deterministic across identically-seeded runs.
     pub fn metrics(&mut self, session: Option<&str>, noisy: bool) -> ClientResult<Value> {
-        self.send(
-            &Request::Metrics {
-                session: session.map(str::to_string),
-                noisy,
-            }
-            .encode(),
-        )?;
-        Self::check_rejection(self.read_value()?)
+        let session = session.map(str::to_string);
+        self.call(&Request::Metrics { session, noisy }.encode())
     }
 
     /// Fetch recent trace span trees (the full response line), optionally
     /// restricted to one session's trees.  `noisy` includes wall clocks.
     pub fn trace(&mut self, session: Option<&str>, noisy: bool) -> ClientResult<Value> {
-        self.send(
-            &Request::Trace {
-                session: session.map(str::to_string),
-                noisy,
-            }
-            .encode(),
-        )?;
-        Self::check_rejection(self.read_value()?)
+        let session = session.map(str::to_string);
+        self.call(&Request::Trace { session, noisy }.encode())
     }
 
     /// Ask the server to drain and stop.
     pub fn shutdown(&mut self) -> ClientResult<()> {
-        self.send(&Request::Shutdown.encode())?;
-        Self::check_rejection(self.read_value()?)?;
-        Ok(())
+        self.call(&Request::Shutdown.encode()).map(drop)
     }
 }

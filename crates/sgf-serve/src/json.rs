@@ -1,528 +1,4 @@
-//! A minimal JSON reader/writer for the serve protocol.
-//!
-//! The workspace builds offline (the vendored `serde` stub carries no real
-//! serializer — see `vendor/README.md`), so the wire protocol is handled by
-//! this hand-rolled module instead: a strict recursive-descent parser for the
-//! values the protocol uses, plus string escaping for the writer side.  It
-//! supports the full JSON value grammar (objects, arrays, strings with
-//! escapes, numbers, booleans, null) but none of serde's data-model mapping —
-//! the protocol layer pattern-matches on [`Value`] directly.
+//! The wire protocol's JSON type: the workspace's one [`sgf_metrics::Json`],
+//! under the name the protocol API has always used.
 
-use std::collections::BTreeMap;
-use std::fmt;
-
-/// A parsed JSON value.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Value {
-    /// `null`.
-    Null,
-    /// `true` / `false`.
-    Bool(bool),
-    /// A non-negative integer literal that fits `u64`, kept exact — request
-    /// seeds are `u64` and must round-trip without `f64` precision loss.
-    Uint(u64),
-    /// Any other JSON number (parsed as `f64`, like JavaScript).
-    Number(f64),
-    /// A string.
-    String(String),
-    /// An array.
-    Array(Vec<Value>),
-    /// An object.  Key order is not preserved (protocol fields are accessed
-    /// by name, never by position).
-    Object(BTreeMap<String, Value>),
-}
-
-impl Value {
-    /// Parse one complete JSON document; trailing non-whitespace is an error.
-    pub fn parse(input: &str) -> Result<Value, ParseError> {
-        let mut p = Parser {
-            bytes: input.as_bytes(),
-            pos: 0,
-        };
-        p.skip_ws();
-        let value = p.value()?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(p.error("trailing characters after the JSON value"));
-        }
-        Ok(value)
-    }
-
-    /// Object field lookup (`None` for non-objects and missing keys).
-    pub fn get(&self, key: &str) -> Option<&Value> {
-        match self {
-            Value::Object(map) => map.get(key),
-            _ => None,
-        }
-    }
-
-    /// The string payload, if this is a string.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Value::String(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The numeric payload, if this is a number (lossy above 2^53 for
-    /// integers — use [`as_u64`](Value::as_u64) where exactness matters).
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Value::Number(n) => Some(*n),
-            Value::Uint(u) => Some(*u as f64),
-            _ => None,
-        }
-    }
-
-    /// The numeric payload as a `u64`, if it is a non-negative integer.
-    /// Integer literals are exact across the whole `u64` range.
-    pub fn as_u64(&self) -> Option<u64> {
-        match self {
-            Value::Uint(u) => Some(*u),
-            // Non-literal integral values (e.g. `1e3`) within f64's exact
-            // integer range.
-            Value::Number(n) if n.fract() == 0.0 && (0.0..=2f64.powi(53)).contains(n) => {
-                Some(*n as u64)
-            }
-            _ => None,
-        }
-    }
-
-    /// The numeric payload as a non-negative integer, if it is one exactly.
-    pub fn as_usize(&self) -> Option<usize> {
-        self.as_u64().and_then(|n| usize::try_from(n).ok())
-    }
-
-    /// The boolean payload, if this is a boolean.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Value::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
-    /// Render the value back to one line of canonical JSON: object keys in
-    /// sorted order (the `Object` map is a `BTreeMap`), strings escaped,
-    /// non-finite numbers as `null`.  Parsing a canonical document and
-    /// rendering it reproduces the document, which is what lets clients
-    /// persist server observability responses byte-stably.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        self.render_into(&mut out);
-        out
-    }
-
-    fn render_into(&self, out: &mut String) {
-        match self {
-            Value::Null => out.push_str("null"),
-            Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Value::Uint(u) => out.push_str(&u.to_string()),
-            Value::Number(n) => {
-                if n.is_finite() {
-                    out.push_str(&format!("{n}"));
-                } else {
-                    out.push_str("null");
-                }
-            }
-            Value::String(s) => {
-                out.push('"');
-                out.push_str(&escape(s));
-                out.push('"');
-            }
-            Value::Array(items) => {
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    item.render_into(out);
-                }
-                out.push(']');
-            }
-            Value::Object(map) => {
-                out.push('{');
-                for (i, (key, value)) in map.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    out.push('"');
-                    out.push_str(&escape(key));
-                    out.push_str("\":");
-                    value.render_into(out);
-                }
-                out.push('}');
-            }
-        }
-    }
-
-    /// The element list, if this is an array.
-    pub fn as_array(&self) -> Option<&[Value]> {
-        match self {
-            Value::Array(items) => Some(items),
-            _ => None,
-        }
-    }
-
-    /// The key/value map, if this is an object.
-    pub fn as_object(&self) -> Option<&std::collections::BTreeMap<String, Value>> {
-        match self {
-            Value::Object(map) => Some(map),
-            _ => None,
-        }
-    }
-}
-
-/// A parse failure: byte offset plus message.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ParseError {
-    /// Byte offset of the failure in the input.
-    pub offset: usize,
-    /// Human-readable description.
-    pub message: String,
-}
-
-impl fmt::Display for ParseError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "invalid JSON at byte {}: {}", self.offset, self.message)
-    }
-}
-
-impl std::error::Error for ParseError {}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl Parser<'_> {
-    fn error(&self, message: &str) -> ParseError {
-        ParseError {
-            offset: self.pos,
-            message: message.to_string(),
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
-        }
-    }
-
-    // Named to stay visibly distinct from the panicking `Option::expect` /
-    // `Result::expect` — nothing in this parser is allowed to panic (R3).
-    fn expect_byte(&mut self, byte: u8) -> Result<(), ParseError> {
-        if self.peek() == Some(byte) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(self.error(&format!("expected `{}`", byte as char)))
-        }
-    }
-
-    fn literal(&mut self, text: &str, value: Value) -> Result<Value, ParseError> {
-        if self.bytes[self.pos..].starts_with(text.as_bytes()) {
-            self.pos += text.len();
-            Ok(value)
-        } else {
-            Err(self.error(&format!("expected `{text}`")))
-        }
-    }
-
-    fn value(&mut self) -> Result<Value, ParseError> {
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(Value::String(self.string()?)),
-            Some(b't') => self.literal("true", Value::Bool(true)),
-            Some(b'f') => self.literal("false", Value::Bool(false)),
-            Some(b'n') => self.literal("null", Value::Null),
-            Some(b'-' | b'0'..=b'9') => self.number(),
-            _ => Err(self.error("expected a JSON value")),
-        }
-    }
-
-    fn object(&mut self) -> Result<Value, ParseError> {
-        self.expect_byte(b'{')?;
-        let mut map = BTreeMap::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Value::Object(map));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect_byte(b':')?;
-            self.skip_ws();
-            let value = self.value()?;
-            map.insert(key, value);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Value::Object(map));
-                }
-                _ => return Err(self.error("expected `,` or `}` in object")),
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Value, ParseError> {
-        self.expect_byte(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Value::Array(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Value::Array(items));
-                }
-                _ => return Err(self.error("expected `,` or `]` in array")),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, ParseError> {
-        self.expect_byte(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                None => return Err(self.error("unterminated string")),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    let escaped = self.peek().ok_or_else(|| self.error("dangling escape"))?;
-                    self.pos += 1;
-                    match escaped {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'b' => out.push('\u{0008}'),
-                        b'f' => out.push('\u{000c}'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => out.push(self.unicode_escape()?),
-                        _ => return Err(self.error("unknown escape sequence")),
-                    }
-                }
-                Some(byte) if byte < 0x20 => {
-                    return Err(self.error("unescaped control character in string"))
-                }
-                Some(_) => {
-                    // Consume one UTF-8 scalar (the input is a &str, so the
-                    // byte stream is valid UTF-8 by construction; the error
-                    // arm is unreachable but must not be a panic).
-                    let start = self.pos;
-                    self.pos += 1;
-                    while self.peek().is_some_and(|b| b & 0b1100_0000 == 0b1000_0000) {
-                        self.pos += 1;
-                    }
-                    let scalar = std::str::from_utf8(&self.bytes[start..self.pos])
-                        .map_err(|_| self.error("invalid UTF-8 in string"))?;
-                    out.push_str(scalar);
-                }
-            }
-        }
-    }
-
-    fn unicode_escape(&mut self) -> Result<char, ParseError> {
-        let unit = self.hex4()?;
-        // Decode surrogate pairs; lone surrogates are rejected.
-        if (0xD800..=0xDBFF).contains(&unit) {
-            if !self.bytes[self.pos..].starts_with(b"\\u") {
-                return Err(self.error("lone high surrogate"));
-            }
-            self.pos += 2;
-            let low = self.hex4()?;
-            if !(0xDC00..=0xDFFF).contains(&low) {
-                return Err(self.error("invalid low surrogate"));
-            }
-            let scalar = 0x10000 + ((unit - 0xD800) << 10) + (low - 0xDC00);
-            char::from_u32(scalar).ok_or_else(|| self.error("invalid surrogate pair"))
-        } else {
-            char::from_u32(unit).ok_or_else(|| self.error("invalid \\u escape"))
-        }
-    }
-
-    fn hex4(&mut self) -> Result<u32, ParseError> {
-        let mut value = 0u32;
-        for _ in 0..4 {
-            let digit = match self.peek() {
-                Some(b @ b'0'..=b'9') => (b - b'0') as u32,
-                Some(b @ b'a'..=b'f') => (b - b'a' + 10) as u32,
-                Some(b @ b'A'..=b'F') => (b - b'A' + 10) as u32,
-                _ => return Err(self.error("expected 4 hex digits after \\u")),
-            };
-            value = value * 16 + digit;
-            self.pos += 1;
-        }
-        Ok(value)
-    }
-
-    fn number(&mut self) -> Result<Value, ParseError> {
-        let start = self.pos;
-        let mut integral = true;
-        if self.peek() == Some(b'-') {
-            integral = false;
-            self.pos += 1;
-        }
-        while matches!(self.peek(), Some(b'0'..=b'9')) {
-            self.pos += 1;
-        }
-        if self.peek() == Some(b'.') {
-            integral = false;
-            self.pos += 1;
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
-            }
-        }
-        if matches!(self.peek(), Some(b'e' | b'E')) {
-            integral = false;
-            self.pos += 1;
-            if matches!(self.peek(), Some(b'+' | b'-')) {
-                self.pos += 1;
-            }
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
-            }
-        }
-        // The consumed region is ASCII digits/sign/dot/exponent, so this
-        // never fails — but a parse error beats a worker panic.
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| self.error("invalid UTF-8 in number"))?;
-        // Keep non-negative integer literals exact (u64 seeds); anything
-        // else — signs, fractions, exponents, > u64::MAX — goes through f64.
-        if integral {
-            if let Ok(u) = text.parse::<u64>() {
-                return Ok(Value::Uint(u));
-            }
-        }
-        text.parse::<f64>()
-            .map(Value::Number)
-            .map_err(|_| self.error("invalid number"))
-    }
-}
-
-/// Escape a string for embedding in a JSON document (quotes not included).
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn parses_the_protocol_shapes() {
-        let v = Value::parse(
-            r#"{"verb":"generate","target":10,"seed":7,"stream":false,"omega":{"lo":9,"hi":11},"record":[1,2,3],"cap":null}"#,
-        )
-        .unwrap();
-        assert_eq!(v.get("verb").and_then(Value::as_str), Some("generate"));
-        assert_eq!(v.get("target").and_then(Value::as_usize), Some(10));
-        assert_eq!(v.get("stream").and_then(Value::as_bool), Some(false));
-        assert_eq!(
-            v.get("omega")
-                .and_then(|o| o.get("hi"))
-                .and_then(Value::as_u64),
-            Some(11)
-        );
-        let record: Vec<u64> = v
-            .get("record")
-            .and_then(Value::as_array)
-            .unwrap()
-            .iter()
-            .map(|x| x.as_u64().unwrap())
-            .collect();
-        assert_eq!(record, vec![1, 2, 3]);
-        assert_eq!(v.get("cap"), Some(&Value::Null));
-        assert_eq!(v.get("missing"), None);
-    }
-
-    #[test]
-    fn parses_numbers_strings_and_escapes() {
-        assert_eq!(Value::parse("-12.5e2").unwrap().as_f64(), Some(-1250.0));
-        assert_eq!(Value::parse("0").unwrap().as_usize(), Some(0));
-        assert_eq!(Value::parse("1.5").unwrap().as_usize(), None);
-        assert_eq!(Value::parse("-1").unwrap().as_usize(), None);
-        let s = Value::parse(r#""a\"b\\c\nd\u00e9 \ud83e\udd80""#).unwrap();
-        assert_eq!(s.as_str(), Some("a\"b\\c\ndé 🦀"));
-        assert_eq!(Value::parse("  true ").unwrap().as_bool(), Some(true));
-        assert_eq!(Value::parse("[]").unwrap().as_array(), Some(&[][..]));
-    }
-
-    #[test]
-    fn rejects_malformed_documents() {
-        for bad in [
-            "",
-            "{",
-            "}",
-            "{\"a\"}",
-            "{\"a\":}",
-            "[1,",
-            "\"",
-            "tru",
-            "1 2",
-            "{\"a\":1,}",
-            "nul",
-            "\"\\q\"",
-            "\"\\ud800\"",
-        ] {
-            assert!(Value::parse(bad).is_err(), "accepted malformed {bad:?}");
-        }
-    }
-
-    #[test]
-    fn integer_literals_stay_exact_across_the_u64_range() {
-        // 2^53 + 1 is the first integer f64 cannot represent; u64::MAX is
-        // the worst case a request seed can carry.  Both must survive.
-        for n in [0u64, 9_007_199_254_740_993, u64::MAX - 1, u64::MAX] {
-            let parsed = Value::parse(&n.to_string()).unwrap();
-            assert_eq!(parsed, Value::Uint(n));
-            assert_eq!(parsed.as_u64(), Some(n));
-        }
-        // Integral but non-literal forms fall back to f64 and stay usable
-        // inside its exact range only.
-        assert_eq!(Value::parse("1e3").unwrap().as_u64(), Some(1000));
-        assert_eq!(Value::parse("1e300").unwrap().as_u64(), None);
-        // Beyond u64::MAX the literal degrades to f64 (and is not an integer).
-        assert_eq!(Value::parse("18446744073709551616").unwrap().as_u64(), None);
-    }
-
-    #[test]
-    fn escape_round_trips_through_parse() {
-        let original = "line\nwith \"quotes\", back\\slash, tab\t and unicode é🦀";
-        let encoded = format!("\"{}\"", escape(original));
-        assert_eq!(Value::parse(&encoded).unwrap().as_str(), Some(original));
-    }
-}
+pub use sgf_metrics::json::{Json as Value, ParseError};

@@ -21,8 +21,8 @@
 //! * [`client`] — a blocking client used by the tests, the example, and the
 //!   `sgf-serve --smoke` self-test;
 //! * [`queue`] — the bounded MPMC queue;
-//! * [`json`] — the hand-rolled JSON reader/writer (the build is offline;
-//!   see `vendor/README.md`).
+//! * [`json`] — the protocol's JSON type: the workspace's one
+//!   [`sgf_metrics::Json`], re-exported as `Value`.
 //!
 //! ## Quickstart
 //!

@@ -22,6 +22,11 @@
 //! responses carry stats/ledger/provenance in the header, streaming responses
 //! in the trailer (the counts are only known once the stream finishes).
 //!
+//! Every response line is canonical JSON ([`Value`] is the workspace's one
+//! JSON type): keys sorted, floats always written with a `.` or an
+//! exponent, so parsing a line and rendering it again reproduces it.  Record
+//! lines are written directly, in the same canonical form.
+//!
 //! `metrics` and `trace` answer with one line of canonical JSON.  Both are
 //! deterministic by default: `metrics` returns the counter-only labeled
 //! snapshot (per-scope cells always sum exactly to the global rollup) and
@@ -29,7 +34,7 @@
 //! server runs answer byte-identically.  `noisy:true` opts into the
 //! wall-clock-bearing variants.
 
-use crate::json::{escape, Value};
+use crate::json::Value;
 use sgf_core::{GenerateRequest, SeedIndex};
 use sgf_data::Record;
 use sgf_model::OmegaSpec;
@@ -119,37 +124,38 @@ impl GenerateCall {
 
     /// Encode the call as one protocol line (no trailing newline).
     pub fn encode(&self) -> String {
-        let mut line = format!(
-            "{{\"verb\":\"generate\",\"session\":\"{}\",\"target\":{},\"seed\":{}",
-            escape(&self.session),
-            self.request.target,
-            self.request.seed
-        );
-        if let Some(workers) = self.request.workers {
-            line.push_str(&format!(",\"workers\":{workers}"));
+        let request = &self.request;
+        let mut fields = vec![
+            ("verb", Value::from("generate")),
+            ("session", Value::from(self.session.as_str())),
+            ("target", Value::from(request.target)),
+            ("seed", Value::from(request.seed)),
+        ];
+        if let Some(workers) = request.workers {
+            fields.push(("workers", Value::from(workers)));
         }
-        if let Some(factor) = self.request.max_candidate_factor {
-            line.push_str(&format!(",\"max_candidate_factor\":{factor}"));
+        if let Some(factor) = request.max_candidate_factor {
+            fields.push(("max_candidate_factor", Value::from(factor)));
         }
-        match self.request.omega {
-            Some(OmegaSpec::Fixed(w)) => line.push_str(&format!(",\"omega\":{w}")),
-            Some(OmegaSpec::UniformRange { lo, hi }) => {
-                line.push_str(&format!(",\"omega\":{{\"lo\":{lo},\"hi\":{hi}}}"))
-            }
+        match request.omega {
+            Some(OmegaSpec::Fixed(w)) => fields.push(("omega", Value::from(w))),
+            Some(OmegaSpec::UniformRange { lo, hi }) => fields.push((
+                "omega",
+                Value::obj([("lo", Value::from(lo)), ("hi", Value::from(hi))]),
+            )),
             None => {}
         }
-        if let Some(policy) = self.request.seed_index {
+        if let Some(policy) = request.seed_index {
             // `SeedIndex`'s `Display` is the canonical lowercase wire name.
-            line.push_str(&format!(",\"seed_index\":\"{policy}\""));
+            fields.push(("seed_index", Value::from(policy.to_string())));
         }
         if self.stream {
-            line.push_str(",\"stream\":true");
+            fields.push(("stream", Value::Bool(true)));
         }
         if self.model == ModelKind::Marginal {
-            line.push_str(",\"model\":\"marginal\"");
+            fields.push(("model", Value::from("marginal")));
         }
-        line.push('}');
-        line
+        Value::obj(fields).render()
     }
 }
 
@@ -196,33 +202,28 @@ impl UpdateCall {
 
     /// Encode the call as one protocol line (no trailing newline).
     pub fn encode(&self) -> String {
-        let mut line = format!(
-            "{{\"verb\":\"update\",\"session\":\"{}\"",
-            escape(&self.session)
-        );
+        let mut fields = vec![
+            ("verb", Value::from("update")),
+            ("session", Value::from(self.session.as_str())),
+        ];
         for (key, records) in [("inserts", &self.inserts), ("deletes", &self.deletes)] {
-            if records.is_empty() {
-                continue;
+            if !records.is_empty() {
+                fields.push((key, Value::Arr(records.iter().map(record_json).collect())));
             }
-            line.push_str(&format!(",\"{key}\":["));
-            for (i, record) in records.iter().enumerate() {
-                if i > 0 {
-                    line.push(',');
-                }
-                line.push('[');
-                for (j, v) in record.values().iter().enumerate() {
-                    if j > 0 {
-                        line.push(',');
-                    }
-                    line.push_str(&v.to_string());
-                }
-                line.push(']');
-            }
-            line.push(']');
         }
-        line.push('}');
-        line
+        Value::obj(fields).render()
     }
+}
+
+/// A record as the array of its attribute value indices.
+fn record_json(record: &Record) -> Value {
+    Value::Arr(
+        record
+            .values()
+            .iter()
+            .map(|&v| Value::from(u64::from(v)))
+            .collect(),
+    )
 }
 
 /// One parsed request line.
@@ -268,16 +269,15 @@ impl Request {
         match self {
             Request::Generate(call) => call.encode(),
             Request::Update(call) => call.encode(),
-            Request::Status => "{\"verb\":\"status\"}".to_string(),
-            Request::Ledger { session } => {
-                format!(
-                    "{{\"verb\":\"ledger\",\"session\":\"{}\"}}",
-                    escape(session)
-                )
-            }
+            Request::Status => Value::obj([("verb", Value::from("status"))]).render(),
+            Request::Ledger { session } => Value::obj([
+                ("verb", Value::from("ledger")),
+                ("session", Value::from(session.as_str())),
+            ])
+            .render(),
             Request::Metrics { session, noisy } => observe_verb_line("metrics", session, *noisy),
             Request::Trace { session, noisy } => observe_verb_line("trace", session, *noisy),
-            Request::Shutdown => "{\"verb\":\"shutdown\"}".to_string(),
+            Request::Shutdown => Value::obj([("verb", Value::from("shutdown"))]).render(),
         }
     }
 }
@@ -343,15 +343,14 @@ fn noisy_flag(value: &Value) -> Result<bool, String> {
 
 /// Encode a `metrics`/`trace` request line.
 fn observe_verb_line(verb: &str, session: &Option<String>, noisy: bool) -> String {
-    let mut line = format!("{{\"verb\":\"{verb}\"");
+    let mut fields = vec![("verb", Value::from(verb))];
     if let Some(session) = session {
-        line.push_str(&format!(",\"session\":\"{}\"", escape(session)));
+        fields.push(("session", Value::from(session.as_str())));
     }
     if noisy {
-        line.push_str(",\"noisy\":true");
+        fields.push(("noisy", Value::Bool(true)));
     }
-    line.push('}');
-    line
+    Value::obj(fields).render()
 }
 
 fn parse_generate(value: &Value) -> Result<GenerateCall, String> {
@@ -419,37 +418,26 @@ fn parse_generate(value: &Value) -> Result<GenerateCall, String> {
 }
 
 fn parse_update(value: &Value) -> Result<UpdateCall, String> {
-    let mut call = UpdateCall::new().with_session(&session_name(value)?);
-    for (key, out) in [("inserts", 0usize), ("deletes", 1usize)] {
-        let records = match value.get(key) {
-            None => continue,
-            Some(v) => v
-                .as_array()
-                .ok_or_else(|| format!("field `{key}` must be an array of records"))?,
+    let records = |key: &str| -> Result<Vec<Record>, String> {
+        let Some(field) = value.get(key) else {
+            return Ok(Vec::new());
         };
-        for record in records {
-            let values = record
-                .as_array()
-                .ok_or_else(|| format!("each `{key}` record must be an array of value indices"))?
-                .iter()
-                .map(|v| {
-                    v.as_u64()
-                        .filter(|&n| n <= u16::MAX as u64)
-                        .map(|n| n as u16)
+        field
+            .as_arr()
+            .ok_or_else(|| format!("field `{key}` must be an array of records"))?
+            .iter()
+            .map(|record| {
+                record_from_json(record).map(Record::new).ok_or_else(|| {
+                    format!("each `{key}` record must be an array of integers in [0, 65535]")
                 })
-                .collect::<Option<Vec<u16>>>()
-                .ok_or_else(|| {
-                    format!("each `{key}` record value must be an integer in [0, 65535]")
-                })?;
-            let record = Record::new(values);
-            if out == 0 {
-                call.inserts.push(record);
-            } else {
-                call.deletes.push(record);
-            }
-        }
-    }
-    Ok(call)
+            })
+            .collect()
+    };
+    Ok(UpdateCall {
+        session: session_name(value)?,
+        inserts: records("inserts")?,
+        deletes: records("deletes")?,
+    })
 }
 
 fn parse_omega(value: &Value) -> Result<OmegaSpec, String> {
@@ -464,55 +452,52 @@ fn parse_omega(value: &Value) -> Result<OmegaSpec, String> {
     }
 }
 
-/// Format an `f64` as a JSON value (`null` for non-finite values).
-pub fn num(value: f64) -> String {
-    if value.is_finite() {
-        format!("{value}")
-    } else {
-        "null".to_string()
-    }
+/// An `"ok":true` response line: the envelope every successful response
+/// carries (`ok`, `verb`) plus the verb's own fields.
+pub fn ok_line<'a>(verb: &'a str, fields: impl IntoIterator<Item = (&'a str, Value)>) -> String {
+    let envelope = [("ok", Value::Bool(true)), ("verb", Value::from(verb))];
+    Value::obj(envelope.into_iter().chain(fields)).render()
 }
 
 /// An `"ok":false` rejection line: machine-readable `code` plus a
-/// human-readable `message` and optional extra fields (pre-encoded values).
-pub fn reject_line(code: &str, message: &str, extras: &[(&str, String)]) -> String {
-    let mut line = format!(
-        "{{\"ok\":false,\"error\":\"{}\",\"message\":\"{}\"",
-        escape(code),
-        escape(message)
-    );
-    for (key, value) in extras {
-        line.push_str(&format!(",\"{}\":{}", escape(key), value));
-    }
-    line.push('}');
-    line
+/// human-readable `message` and optional code-specific fields.
+pub fn reject_line(code: &str, message: &str, extras: &[(&str, Value)]) -> String {
+    let fields = [
+        ("ok", Value::Bool(false)),
+        ("error", Value::from(code)),
+        ("message", Value::from(message)),
+    ];
+    Value::obj(fields.into_iter().chain(extras.iter().cloned())).render()
 }
 
 /// Header line of a successful batch `generate` response.
 pub fn batch_header_line(
     released: usize,
-    stats_json: &str,
+    stats: Value,
     request_epsilon: f64,
-    ledger_json: &str,
-    provenance_json: &str,
+    ledger: Value,
+    provenance: Value,
 ) -> String {
-    format!(
-        "{{\"ok\":true,\"verb\":\"generate\",\"streaming\":false,\"released\":{},\
-         \"stats\":{},\"request_epsilon\":{},\"ledger\":{},\"provenance\":{}}}",
-        released,
-        stats_json,
-        num(request_epsilon),
-        ledger_json,
-        provenance_json
+    ok_line(
+        "generate",
+        [
+            ("streaming", Value::Bool(false)),
+            ("released", Value::from(released)),
+            ("stats", stats),
+            ("request_epsilon", Value::from(request_epsilon)),
+            ("ledger", ledger),
+            ("provenance", provenance),
+        ],
     )
 }
 
 /// Header line of a successful streaming `generate` response.
 pub fn stream_header_line() -> String {
-    "{\"ok\":true,\"verb\":\"generate\",\"streaming\":true}".to_string()
+    ok_line("generate", [("streaming", Value::Bool(true))])
 }
 
-/// One released record.
+/// One released record.  Written directly rather than through [`Value`]:
+/// this is the per-record hot path, and its integers need no escaping.
 pub fn record_line(record: &Record) -> String {
     let mut line = String::from("{\"record\":[");
     for (i, v) in record.values().iter().enumerate() {
@@ -527,33 +512,37 @@ pub fn record_line(record: &Record) -> String {
 
 /// Trailer of a batch `generate` response.
 pub fn batch_end_line(released: usize) -> String {
-    format!("{{\"end\":true,\"released\":{released}}}")
+    Value::obj([
+        ("end", Value::Bool(true)),
+        ("released", Value::from(released)),
+    ])
+    .render()
 }
 
 /// Trailer of a streaming `generate` response (counts are only known here).
-pub fn stream_end_line(
-    released: usize,
-    stats_json: &str,
-    ledger_json: &str,
-    provenance_json: &str,
-) -> String {
-    format!(
-        "{{\"end\":true,\"released\":{released},\"stats\":{stats_json},\
-         \"ledger\":{ledger_json},\"provenance\":{provenance_json}}}"
-    )
+pub fn stream_end_line(released: usize, stats: Value, ledger: Value, provenance: Value) -> String {
+    Value::obj([
+        ("end", Value::Bool(true)),
+        ("released", Value::from(released)),
+        ("stats", stats),
+        ("ledger", ledger),
+        ("provenance", provenance),
+    ])
+    .render()
 }
 
 /// Decode a `{"record":[..]}` line into attribute value indices.
 pub fn parse_record_line(value: &Value) -> Option<Vec<u16>> {
+    record_from_json(value.get("record")?)
+}
+
+/// The attribute value indices of a record array, if every element is an
+/// integer in `[0, 65535]`.
+fn record_from_json(value: &Value) -> Option<Vec<u16>> {
     value
-        .get("record")?
-        .as_array()?
+        .as_arr()?
         .iter()
-        .map(|v| {
-            v.as_u64()
-                .filter(|&n| n <= u16::MAX as u64)
-                .map(|n| n as u16)
-        })
+        .map(|v| v.as_u64().and_then(|n| u16::try_from(n).ok()))
         .collect()
 }
 
@@ -721,81 +710,54 @@ mod tests {
             let err = parse_request(line).unwrap_err();
             assert!(err.contains(needle), "{line}: {err} (wanted {needle})");
         }
+        // A nesting bomb is one more malformed document, not a stack overflow.
+        let err = parse_request(&"[".repeat(100_000)).unwrap_err();
+        assert!(err.contains("nesting"), "{err}");
     }
 
     #[test]
     fn response_lines_are_valid_json() {
-        use crate::json::Value;
-        let reject = reject_line(
-            reject::QUEUE_FULL,
-            "queue is full",
-            &[("retry_after_ms", "50".to_string())],
-        );
-        let parsed = Value::parse(&reject).unwrap();
-        assert_eq!(parsed.get("ok").and_then(Value::as_bool), Some(false));
+        let provenance = Value::obj([
+            ("gamma", Value::from(4.0)),
+            ("request_seed", Value::from(u64::MAX)),
+        ]);
+        let stats = Value::obj([("pass_rate", Value::from(1.0))]);
+        let ledger = Value::obj([("total_delta", Value::from(0.0))]);
+        let extras = [
+            ("cap_epsilon", Value::from(2.0)),
+            ("cap_delta", Value::Null),
+            ("retry_after_ms", Value::from(50u64)),
+        ];
+        let lines = [
+            reject_line(reject::BUDGET_EXHAUSTED, "over \"budget\"", &extras),
+            batch_header_line(2, stats.clone(), 1.0, ledger.clone(), provenance.clone()),
+            record_line(&Record::new(vec![3, 0, 65535])),
+            batch_end_line(2),
+            stream_header_line(),
+            stream_end_line(4, stats, ledger, provenance.clone()),
+        ];
+        // Every line is canonical: parsing and rendering reproduces it.
+        let parsed: Vec<Value> = lines
+            .iter()
+            .map(|line| {
+                let value = Value::parse(line).unwrap();
+                assert_eq!(&value.render(), line, "not canonical JSON");
+                value
+            })
+            .collect();
+        assert_eq!(parsed[0].get("ok").and_then(Value::as_bool), Some(false));
         assert_eq!(
-            parsed.get("error").and_then(Value::as_str),
-            Some(reject::QUEUE_FULL)
-        );
-        assert_eq!(
-            parsed.get("retry_after_ms").and_then(Value::as_u64),
+            parsed[0].get("retry_after_ms").and_then(Value::as_u64),
             Some(50)
         );
-
-        let header = batch_header_line(
-            2,
-            "{\"candidates\":5}",
-            1.5,
-            "{\"releases\":2}",
-            "{\"store\":\"partition\"}",
-        );
-        let parsed = Value::parse(&header).unwrap();
-        assert_eq!(parsed.get("released").and_then(Value::as_usize), Some(2));
+        assert_eq!(parsed[1].get("provenance"), Some(&provenance));
+        assert_eq!(parsed[1].get("request_epsilon"), Some(&Value::Float(1.0)));
+        assert_eq!(parse_record_line(&parsed[2]), Some(vec![3, 0, 65535]));
+        assert_eq!(parsed[3].get("released").and_then(Value::as_usize), Some(2));
         assert_eq!(
-            parsed.get("request_epsilon").and_then(Value::as_f64),
-            Some(1.5)
-        );
-        assert_eq!(
-            parsed
-                .get("provenance")
-                .and_then(|p| p.get("store"))
-                .and_then(Value::as_str),
-            Some("partition")
-        );
-
-        let record = Record::new(vec![3, 0, 65535]);
-        let parsed = Value::parse(&record_line(&record)).unwrap();
-        assert_eq!(parse_record_line(&parsed), Some(vec![3, 0, 65535]));
-
-        let end = stream_end_line(
-            4,
-            "{\"released\":4}",
-            "{\"requests\":1}",
-            "{\"store\":\"scan\"}",
-        );
-        let parsed = Value::parse(&end).unwrap();
-        assert_eq!(parsed.get("end").and_then(Value::as_bool), Some(true));
-        assert_eq!(parsed.get("released").and_then(Value::as_usize), Some(4));
-        assert_eq!(
-            parsed
-                .get("provenance")
-                .and_then(|p| p.get("store"))
-                .and_then(Value::as_str),
-            Some("scan")
-        );
-        assert_eq!(
-            Value::parse(&stream_header_line())
-                .unwrap()
-                .get("streaming")
-                .and_then(Value::as_bool),
+            parsed[4].get("streaming").and_then(Value::as_bool),
             Some(true)
         );
-        assert_eq!(
-            Value::parse(&batch_end_line(9))
-                .unwrap()
-                .get("released")
-                .and_then(Value::as_usize),
-            Some(9)
-        );
+        assert_eq!(parsed[5].get("provenance"), Some(&provenance));
     }
 }

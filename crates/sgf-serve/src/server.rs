@@ -23,6 +23,7 @@
 //!    closes, queued jobs still complete, workers then exit, and
 //!    [`ServerHandle::join`] returns once every thread is down.
 
+use crate::json::Value;
 use crate::protocol::{
     self, reject, GenerateCall, ModelKind, Request, UpdateCall, DEFAULT_SESSION,
 };
@@ -435,6 +436,11 @@ fn write_line(out: &Mutex<TcpStream>, line: &str) {
     write_response(out, &format!("{line}\n"));
 }
 
+/// Write a rejection that carries no code-specific fields.
+fn write_reject(out: &Mutex<TcpStream>, code: &str, message: &str) {
+    write_line(out, &protocol::reject_line(code, message, &[]));
+}
+
 /// The scope labeling everything a session's requests emit.  Keep this the
 /// single construction site: the registration wrap, the `metrics` cell
 /// lookup, the retry hint, and the worker's service-time summary must all
@@ -449,76 +455,74 @@ fn log_request(state: &ServerState, request_id: u64, verb: &str, session: &str, 
     if !state.log_requests {
         return;
     }
-    let _ = writeln!(
-        std::io::stderr().lock(),
-        "{{\"log\":\"serve.request\",\"request_id\":{},\"verb\":\"{}\",\"session\":\"{}\",\"outcome\":\"{}\"}}",
-        request_id,
-        crate::json::escape(verb),
-        crate::json::escape(session),
-        crate::json::escape(outcome),
-    );
+    let line = Value::obj([
+        ("log", Value::from("serve.request")),
+        ("request_id", Value::from(request_id)),
+        ("verb", Value::from(verb)),
+        ("session", Value::from(session)),
+        ("outcome", Value::from(outcome)),
+    ]);
+    let _ = writeln!(std::io::stderr().lock(), "{line}");
 }
 
 fn handle_line(line: &str, out: &Arc<Mutex<TcpStream>>, state: &Arc<ServerState>) {
     let request_id = state.next_request_id.fetch_add(1, Ordering::Relaxed);
-    match protocol::parse_request(line) {
+    let (verb, session, outcome) = match protocol::parse_request(line) {
         Err(message) => {
-            log_request(state, request_id, "?", "", "bad_request");
-            write_line(
-                out,
-                &protocol::reject_line(reject::BAD_REQUEST, &message, &[]),
-            );
+            write_reject(out, reject::BAD_REQUEST, &message);
+            ("?", String::new(), "bad_request")
         }
         Ok(Request::Status) => {
-            log_request(state, request_id, "status", "", "ok");
             write_line(out, &status_line(state));
+            ("status", String::new(), "ok")
         }
-        Ok(Request::Ledger { session }) => match state.sessions.get(&session) {
-            None => {
-                log_request(state, request_id, "ledger", &session, "unknown_session");
-                write_line(out, &unknown_session_line(&session));
-            }
-            Some(registered) => {
-                log_request(state, request_id, "ledger", &session, "ok");
-                write_line(out, &ledger_line(&session, registered));
-            }
-        },
+        Ok(Request::Ledger { session }) => {
+            let outcome = match state.sessions.get(&session) {
+                None => {
+                    write_line(out, &unknown_session_line(&session));
+                    "unknown_session"
+                }
+                Some(registered) => {
+                    write_line(out, &ledger_line(&session, registered));
+                    "ok"
+                }
+            };
+            ("ledger", session, outcome)
+        }
         Ok(Request::Metrics { session, noisy }) => {
-            log_request(
-                state,
-                request_id,
-                "metrics",
-                session.as_deref().unwrap_or(""),
-                "ok",
-            );
             write_line(out, &metrics_line(state, session.as_deref(), noisy));
+            ("metrics", session.unwrap_or_default(), "ok")
         }
         Ok(Request::Trace { session, noisy }) => {
-            log_request(
-                state,
-                request_id,
-                "trace",
-                session.as_deref().unwrap_or(""),
-                "ok",
-            );
             write_line(out, &trace_line(state, session.as_deref(), noisy));
+            ("trace", session.unwrap_or_default(), "ok")
         }
         Ok(Request::Shutdown) => {
-            log_request(state, request_id, "shutdown", "", "draining");
             // Admission closes before the ack (a client that read the ack is
             // guaranteed `shutting_down` on any later request), but the drain
             // machinery — whose teardown eventually closes this connection —
             // starts only after the ack is on the wire, so the ack cannot be
             // lost to the teardown racing this write.
             let already_draining = state.draining.swap(true, Ordering::SeqCst);
-            write_line(out, "{\"ok\":true,\"verb\":\"shutdown\",\"draining\":true}");
+            let ack = protocol::ok_line("shutdown", [("draining", Value::Bool(true))]);
+            write_line(out, &ack);
             if !already_draining {
                 state.finish_drain();
             }
+            ("shutdown", String::new(), "draining")
         }
-        Ok(Request::Generate(call)) => admit_generate(call, request_id, out, state),
-        Ok(Request::Update(call)) => admit_update(call, request_id, out, state),
-    }
+        Ok(Request::Generate(call)) => (
+            "generate",
+            call.session.clone(),
+            admit_generate(call, request_id, out, state),
+        ),
+        Ok(Request::Update(call)) => (
+            "update",
+            call.session.clone(),
+            admit_update(call, out, state),
+        ),
+    };
+    log_request(state, request_id, verb, &session, outcome);
 }
 
 /// The `update` verb: fold a ±record delta into a registered session,
@@ -528,30 +532,19 @@ fn handle_line(line: &str, out: &Arc<Mutex<TcpStream>>, state: &Arc<ServerState>
 /// for the whole update, so concurrent updates serialize and every generate
 /// request is served by exactly one epoch (the one whose handle it cloned at
 /// admission; in-flight requests finish against their admitted epoch).
+/// Returns the outcome the request log records.
 fn admit_update(
     call: UpdateCall,
-    request_id: u64,
     out: &Arc<Mutex<TcpStream>>,
     state: &Arc<ServerState>,
-) {
+) -> &'static str {
     if state.draining.load(Ordering::SeqCst) {
-        log_request(state, request_id, "update", &call.session, "shutting_down");
-        write_line(
-            out,
-            &protocol::reject_line(reject::SHUTTING_DOWN, "server is draining", &[]),
-        );
-        return;
+        write_reject(out, reject::SHUTTING_DOWN, "server is draining");
+        return "shutting_down";
     }
     let Some(registered) = state.sessions.get(&call.session) else {
-        log_request(
-            state,
-            request_id,
-            "update",
-            &call.session,
-            "unknown_session",
-        );
         write_line(out, &unknown_session_line(&call.session));
-        return;
+        return "unknown_session";
     };
     let scope = session_scope(&call.session);
     // Hold the slot for the whole update: admissions for this session wait
@@ -583,12 +576,8 @@ fn admit_update(
             Ok(()) => delta,
             Err(err) => {
                 drop(slot);
-                log_request(state, request_id, "update", &call.session, "bad_request");
-                write_line(
-                    out,
-                    &protocol::reject_line(reject::BAD_REQUEST, &err.to_string(), &[]),
-                );
-                return;
+                write_reject(out, reject::BAD_REQUEST, &err.to_string());
+                return "bad_request";
             }
         }
     };
@@ -599,30 +588,26 @@ fn admit_update(
             *slot = next;
             drop(slot);
             sgf_metrics::scoped(&scope).counter("serve.updates").incr();
-            log_request(state, request_id, "update", &call.session, "ok");
-            write_line(
-                out,
-                &format!(
-                    "{{\"ok\":true,\"verb\":\"update\",\"session\":\"{}\",\"epoch\":{},\
-                     \"seeds\":{},\"inserts\":{},\"deletes\":{}}}",
-                    crate::json::escape(&call.session),
-                    epoch,
-                    seeds,
-                    call.inserts.len(),
-                    call.deletes.len()
-                ),
+            let response = protocol::ok_line(
+                "update",
+                [
+                    ("session", Value::from(call.session.as_str())),
+                    ("epoch", Value::from(epoch)),
+                    ("seeds", Value::from(seeds)),
+                    ("inserts", Value::from(call.inserts.len())),
+                    ("deletes", Value::from(call.deletes.len())),
+                ],
             );
+            write_line(out, &response);
+            "ok"
         }
         Err(err) => {
             drop(slot);
             sgf_metrics::scoped(&scope)
                 .counter("serve.update_failed")
                 .incr();
-            log_request(state, request_id, "update", &call.session, "update_failed");
-            write_line(
-                out,
-                &protocol::reject_line(reject::UPDATE_FAILED, &err.to_string(), &[]),
-            );
+            write_reject(out, reject::UPDATE_FAILED, &err.to_string());
+            "update_failed"
         }
     }
 }
@@ -637,12 +622,9 @@ fn metrics_line(state: &ServerState, session: Option<&str>, noisy: bool) -> Stri
     } else {
         snapshot.counters_only()
     };
+    let mut fields = vec![("noisy", Value::Bool(noisy))];
     match session {
-        None => format!(
-            "{{\"ok\":true,\"verb\":\"metrics\",\"noisy\":{},\"metrics\":{}}}",
-            noisy,
-            snapshot.to_json()
-        ),
+        None => fields.push(("metrics", snapshot.as_json())),
         Some(name) => {
             if !state.sessions.contains_key(name) {
                 return unknown_session_line(name);
@@ -654,14 +636,11 @@ fn metrics_line(state: &ServerState, session: Option<&str>, noisy: bool) -> Stri
                 .get(&session_scope(name).render())
                 .cloned()
                 .unwrap_or_default();
-            format!(
-                "{{\"ok\":true,\"verb\":\"metrics\",\"session\":\"{}\",\"noisy\":{},\"metrics\":{}}}",
-                crate::json::escape(name),
-                noisy,
-                cell.to_json()
-            )
+            fields.push(("session", Value::from(name)));
+            fields.push(("metrics", cell.as_json()));
         }
     }
+    protocol::ok_line("metrics", fields)
 }
 
 /// Answer the `trace` verb: recent span trees from the deterministic trace
@@ -669,8 +648,12 @@ fn metrics_line(state: &ServerState, session: Option<&str>, noisy: bool) -> Stri
 /// requested session.  Wall clocks are omitted unless `noisy`.
 fn trace_line(state: &ServerState, session: Option<&str>, noisy: bool) -> String {
     let trace = sgf_metrics::trace();
-    let (filter, events) = match session {
-        None => (String::new(), trace.events()),
+    let mut fields = vec![
+        ("noisy", Value::Bool(noisy)),
+        ("enabled", Value::Bool(trace.enabled())),
+    ];
+    let events = match session {
+        None => trace.events(),
         Some(name) => {
             if !state.sessions.contains_key(name) {
                 return unknown_session_line(name);
@@ -678,40 +661,30 @@ fn trace_line(state: &ServerState, session: Option<&str>, noisy: bool) -> String
             // Trace labels carry the scope-sanitized session name.
             let scope = session_scope(name);
             let value = scope.get("session").unwrap_or(name);
-            (
-                format!(",\"session\":\"{}\"", crate::json::escape(name)),
-                trace.events_with_label("session", value),
-            )
+            fields.push(("session", Value::from(name)));
+            trace.events_with_label("session", value)
         }
     };
-    format!(
-        "{{\"ok\":true,\"verb\":\"trace\"{},\"noisy\":{},\"enabled\":{},\"trace\":{}}}",
-        filter,
-        noisy,
-        trace.enabled(),
-        Trace::events_json(&events, noisy).render()
-    )
+    fields.push(("trace", Trace::events_json(&events, noisy)));
+    protocol::ok_line("trace", fields)
 }
 
 fn status_line(state: &ServerState) -> String {
     let mut names: Vec<&str> = state.sessions.keys().map(String::as_str).collect();
     names.sort_unstable();
-    let sessions = names
-        .iter()
-        .map(|n| format!("\"{}\"", crate::json::escape(n)))
-        .collect::<Vec<_>>()
-        .join(",");
-    format!(
-        "{{\"ok\":true,\"verb\":\"status\",\"draining\":{},\"queue_depth\":{},\
-         \"queue_capacity\":{},\"busy_workers\":{},\"workers\":{},\"connections\":{},\
-         \"sessions\":[{}]}}",
-        state.draining.load(Ordering::SeqCst),
-        state.queue.len(),
-        state.queue.capacity(),
-        state.busy_workers.load(Ordering::SeqCst),
-        state.workers,
-        locked(&state.conns).len(),
-        sessions
+    let draining = state.draining.load(Ordering::SeqCst);
+    let busy_workers = state.busy_workers.load(Ordering::SeqCst);
+    protocol::ok_line(
+        "status",
+        [
+            ("draining", Value::Bool(draining)),
+            ("queue_depth", Value::from(state.queue.len())),
+            ("queue_capacity", Value::from(state.queue.capacity())),
+            ("busy_workers", Value::from(busy_workers)),
+            ("workers", Value::from(state.workers)),
+            ("connections", Value::from(locked(&state.conns).len())),
+            ("sessions", Value::from(names)),
+        ],
     )
 }
 
@@ -719,22 +692,20 @@ fn unknown_session_line(session: &str) -> String {
     protocol::reject_line(
         reject::UNKNOWN_SESSION,
         &format!("no session named `{session}` is registered"),
-        &[("session", format!("\"{}\"", crate::json::escape(session)))],
+        &[("session", Value::from(session))],
     )
 }
 
 fn ledger_line(name: &str, registered: &Registered) -> String {
-    let (cap_epsilon, cap_delta) = match registered.cap {
-        Some(cap) => (protocol::num(cap.epsilon), protocol::num(cap.delta)),
-        None => ("null".to_string(), "null".to_string()),
-    };
-    format!(
-        "{{\"ok\":true,\"verb\":\"ledger\",\"session\":\"{}\",\"ledger\":{},\
-         \"cap_epsilon\":{},\"cap_delta\":{}}}",
-        crate::json::escape(name),
-        registered.session().ledger().to_json(),
-        cap_epsilon,
-        cap_delta
+    let cap = registered.cap;
+    protocol::ok_line(
+        "ledger",
+        [
+            ("session", Value::from(name)),
+            ("ledger", registered.session().ledger().to_json()),
+            ("cap_epsilon", Value::from(cap.map(|c| c.epsilon))),
+            ("cap_delta", Value::from(cap.map(|c| c.delta))),
+        ],
     )
 }
 
@@ -759,37 +730,21 @@ fn retry_hint_ms(state: &ServerState, session: &str) -> u64 {
 
 /// Admission control for one generate request: drain check, atomic budget
 /// reservation, bounded-queue push — each failure is a machine-readable
-/// rejection, and a reservation never outlives a failed admission.
+/// rejection, and a reservation never outlives a failed admission.  Returns
+/// the outcome the request log records.
 fn admit_generate(
     call: GenerateCall,
     request_id: u64,
     out: &Arc<Mutex<TcpStream>>,
     state: &Arc<ServerState>,
-) {
+) -> &'static str {
     if state.draining.load(Ordering::SeqCst) {
-        log_request(
-            state,
-            request_id,
-            "generate",
-            &call.session,
-            "shutting_down",
-        );
-        write_line(
-            out,
-            &protocol::reject_line(reject::SHUTTING_DOWN, "server is draining", &[]),
-        );
-        return;
+        write_reject(out, reject::SHUTTING_DOWN, "server is draining");
+        return "shutting_down";
     }
     let Some(registered) = state.sessions.get(&call.session) else {
-        log_request(
-            state,
-            request_id,
-            "generate",
-            &call.session,
-            "unknown_session",
-        );
         write_line(out, &unknown_session_line(&call.session));
-        return;
+        return "unknown_session";
     };
     let scope = session_scope(&call.session);
     // Clone the current epoch's handle once: the reservation, the queued job,
@@ -805,39 +760,27 @@ fn admit_generate(
                 sgf_metrics::scoped(&scope)
                     .counter("serve.rejected_budget")
                     .incr();
-                log_request(
-                    state,
-                    request_id,
-                    "generate",
-                    &call.session,
-                    "budget_exhausted",
-                );
                 write_line(
                     out,
                     &protocol::reject_line(
                         reject::BUDGET_EXHAUSTED,
                         "admitting the request would exceed the session budget cap",
                         &[
-                            ("requested_epsilon", protocol::num(requested.epsilon)),
-                            ("requested_delta", protocol::num(requested.delta)),
-                            ("cap_epsilon", protocol::num(cap.epsilon)),
-                            ("cap_delta", protocol::num(cap.delta)),
+                            ("requested_epsilon", Value::from(requested.epsilon)),
+                            ("requested_delta", Value::from(requested.delta)),
+                            ("cap_epsilon", Value::from(cap.epsilon)),
+                            ("cap_delta", Value::from(cap.delta)),
                         ],
                     ),
                 );
-                return;
+                return "budget_exhausted";
             }
             Err(err) => {
-                log_request(state, request_id, "generate", &call.session, "bad_request");
-                write_line(
-                    out,
-                    &protocol::reject_line(reject::BAD_REQUEST, &err.to_string(), &[]),
-                );
-                return;
+                write_reject(out, reject::BAD_REQUEST, &err.to_string());
+                return "bad_request";
             }
         },
     };
-    let session_name = call.session.clone();
     let job = Job {
         session,
         call,
@@ -848,19 +791,12 @@ fn admit_generate(
     match state.queue.try_push(job) {
         Ok(()) => {
             sgf_metrics::scoped(&scope).counter("serve.admitted").incr();
-            log_request(state, request_id, "generate", &session_name, "admitted");
+            "admitted"
         }
         Err(PushError::Full(job)) => {
             sgf_metrics::scoped(&scope)
                 .counter("serve.rejected_queue_full")
                 .incr();
-            log_request(
-                state,
-                request_id,
-                "generate",
-                &job.call.session,
-                "queue_full",
-            );
             // Dropping the job aborts its reservation (guard).
             let out = Arc::clone(&job.out);
             let retry_after = retry_hint_ms(state, &job.call.session);
@@ -870,24 +806,16 @@ fn admit_generate(
                 &protocol::reject_line(
                     reject::QUEUE_FULL,
                     "request queue is full, retry later",
-                    &[("retry_after_ms", retry_after.to_string())],
+                    &[("retry_after_ms", Value::from(retry_after))],
                 ),
             );
+            "queue_full"
         }
         Err(PushError::Closed(job)) => {
-            log_request(
-                state,
-                request_id,
-                "generate",
-                &job.call.session,
-                "shutting_down",
-            );
             let out = Arc::clone(&job.out);
             drop(job);
-            write_line(
-                &out,
-                &protocol::reject_line(reject::SHUTTING_DOWN, "server is draining", &[]),
-            );
+            write_reject(&out, reject::SHUTTING_DOWN, "server is draining");
+            "shutting_down"
         }
     }
 }
@@ -899,6 +827,17 @@ fn admit_generate(
 struct FoldInfo {
     /// Request ids of the fold's members, in service order.
     members: Vec<u64>,
+}
+
+impl FoldInfo {
+    /// The `fold` field a member's provenance block carries.
+    fn to_json(&self, request_id: u64) -> Value {
+        Value::obj([
+            ("size", Value::from(self.members.len())),
+            ("request_id", Value::from(request_id)),
+            ("members", Value::from(self.members.clone())),
+        ])
+    }
 }
 
 fn worker_loop(state: &Arc<ServerState>) {
@@ -1031,7 +970,9 @@ fn serve_job(job: Job, fold: Option<&FoldInfo>) {
     // The worker takes over the reservation: from here, the generate path (or
     // the explicit abort on the streaming path) settles it exactly once.
     let reserved = reservation.map(ReservationGuard::take);
-    let fold = fold.map(|info| (info, request_id));
+    // Only real folds stamp the provenance, so unfolded responses are
+    // unchanged by folding.
+    let fold = fold.map(|info| info.to_json(request_id));
     if call.stream {
         serve_stream(&session, call, reserved, fold, &out);
     } else {
@@ -1039,39 +980,19 @@ fn serve_job(job: Job, fold: Option<&FoldInfo>) {
     }
 }
 
-/// Inject folded-batch membership into a rendered provenance JSON object:
-/// `{"fold":{"size":N,"request_id":R,"members":[..]},<original fields>}`.
-/// Identity for unfolded requests, so their provenance bytes are unchanged.
-fn provenance_with_fold(provenance: &str, fold: Option<(&FoldInfo, u64)>) -> String {
-    let Some((info, request_id)) = fold else {
-        return provenance.to_string();
-    };
-    let members = info
-        .members
-        .iter()
-        .map(|id| id.to_string())
-        .collect::<Vec<_>>()
-        .join(",");
-    let fold_field = format!(
-        "\"fold\":{{\"size\":{},\"request_id\":{},\"members\":[{}]}}",
-        info.members.len(),
-        request_id,
-        members
-    );
-    match provenance.strip_prefix('{') {
-        Some("}") => format!("{{{fold_field}}}"),
-        Some(body) => format!("{{{fold_field},{body}"),
-        // Not an object (defensive): leave the rendering untouched rather
-        // than corrupt it.
-        None => provenance.to_string(),
+/// Add a fold's `fold` field to a provenance block.
+fn with_fold(mut provenance: Value, fold: Option<Value>) -> Value {
+    if let (Value::Obj(fields), Some(fold)) = (&mut provenance, fold) {
+        fields.insert("fold".to_string(), fold);
     }
+    provenance
 }
 
 fn serve_batch(
     session: &SynthesisSession,
     call: &GenerateCall,
     reserved: Option<usize>,
-    fold: Option<(&FoldInfo, u64)>,
+    fold: Option<Value>,
     out: &Mutex<TcpStream>,
 ) {
     let result: sgf_core::Result<ReleaseReport> = match (call.model, reserved) {
@@ -1085,28 +1006,29 @@ fn serve_batch(
         }
     };
     match result {
-        Err(err) => write_line(
-            out,
-            &protocol::reject_line(reject::GENERATE_FAILED, &err.to_string(), &[]),
-        ),
-        Ok(report) => {
-            let mut text = protocol::batch_header_line(
-                report.stats.released,
-                &report.stats.to_json(),
-                report.request_budget().epsilon,
-                &report.ledger.to_json(),
-                &provenance_with_fold(&report.provenance_json().render(), fold),
-            );
-            text.push('\n');
-            for record in report.synthetics.records() {
-                text.push_str(&protocol::record_line(record));
-                text.push('\n');
-            }
-            text.push_str(&protocol::batch_end_line(report.stats.released));
-            text.push('\n');
-            write_response(out, &text);
-        }
+        Err(err) => write_reject(out, reject::GENERATE_FAILED, &err.to_string()),
+        Ok(report) => write_response(out, &batch_response(&report, fold)),
     }
+}
+
+/// The full batch response: header, one line per record, and trailer, each
+/// `\n`-terminated.
+fn batch_response(report: &ReleaseReport, fold: Option<Value>) -> String {
+    let mut text = protocol::batch_header_line(
+        report.stats.released,
+        report.stats.to_json(),
+        report.request_budget().epsilon,
+        report.ledger.to_json(),
+        with_fold(report.provenance_json(), fold),
+    );
+    text.push('\n');
+    for record in report.synthetics.records() {
+        text.push_str(&protocol::record_line(record));
+        text.push('\n');
+    }
+    text.push_str(&protocol::batch_end_line(report.stats.released));
+    text.push('\n');
+    text
 }
 
 /// Settle the part of a stream's reservation it did not convert into
@@ -1119,10 +1041,12 @@ fn settle_stream_reservation(session: &SynthesisSession, reserved: usize, releas
     if released > reserved {
         sgf_metrics::counter("serve.over_delivered").incr();
         // Never `eprintln!`: a closed stderr must not panic a worker (R3).
-        let _ = writeln!(
-            std::io::stderr().lock(),
-            "{{\"log\":\"serve.over_delivered\",\"reserved\":{reserved},\"released\":{released}}}",
-        );
+        let line = Value::obj([
+            ("log", Value::from("serve.over_delivered")),
+            ("reserved", Value::from(reserved)),
+            ("released", Value::from(released)),
+        ]);
+        let _ = writeln!(std::io::stderr().lock(), "{line}");
     }
     session.abort_reservation(reserved.saturating_sub(released));
 }
@@ -1131,7 +1055,7 @@ fn serve_stream(
     session: &SynthesisSession,
     call: GenerateCall,
     reserved: Option<usize>,
-    fold: Option<(&FoldInfo, u64)>,
+    fold: Option<Value>,
     out: &Mutex<TcpStream>,
 ) {
     if call.model == ModelKind::Marginal {
@@ -1140,13 +1064,10 @@ fn serve_stream(
         if let Some(r) = reserved {
             session.abort_reservation(r);
         }
-        write_line(
+        write_reject(
             out,
-            &protocol::reject_line(
-                reject::BAD_REQUEST,
-                "streaming supports the seed model only",
-                &[],
-            ),
+            reject::BAD_REQUEST,
+            "streaming supports the seed model only",
         );
         return;
     }
@@ -1161,10 +1082,7 @@ fn serve_stream(
     let mut iter = match open {
         Ok(iter) => iter,
         Err(err) => {
-            write_line(
-                out,
-                &protocol::reject_line(reject::GENERATE_FAILED, &err.to_string(), &[]),
-            );
+            write_reject(out, reject::GENERATE_FAILED, &err.to_string());
             return;
         }
     };
@@ -1211,9 +1129,9 @@ fn serve_stream(
         "{}",
         protocol::stream_end_line(
             released,
-            &stats.to_json(),
-            &session.ledger().to_json(),
-            &provenance_with_fold(&provenance.to_json(&session.ledger()).render(), fold)
+            stats.to_json(),
+            session.ledger().to_json(),
+            with_fold(provenance.to_json(&session.ledger()), fold),
         )
     );
     let _ = stream.flush();
@@ -1225,36 +1143,61 @@ mod tests {
     use sgf_core::{PrivacyTestConfig, SynthesisEngine};
     use sgf_data::acs::{acs_bucketizer, acs_schema, generate_acs};
 
-    #[test]
-    fn provenance_fold_injection_preserves_object_shape() {
-        let fold = FoldInfo {
-            members: vec![7, 9, 12],
-        };
-        assert_eq!(
-            provenance_with_fold("{\"seed\":5}", Some((&fold, 9))),
-            "{\"fold\":{\"size\":3,\"request_id\":9,\"members\":[7,9,12]},\"seed\":5}"
-        );
-        assert_eq!(
-            provenance_with_fold("{}", Some((&fold, 7))),
-            "{\"fold\":{\"size\":3,\"request_id\":7,\"members\":[7,9,12]}}"
-        );
-        // Unfolded requests keep their provenance bytes untouched.
-        assert_eq!(provenance_with_fold("{\"seed\":5}", None), "{\"seed\":5}");
-        // Defensive: a non-object rendering passes through unmodified.
-        assert_eq!(provenance_with_fold("null", Some((&fold, 7))), "null");
-    }
-
-    #[test]
-    fn over_delivered_stream_is_counted_not_swallowed() {
+    fn trained_session() -> SynthesisSession {
         let population = generate_acs(600, 11);
         let bucketizer = acs_bucketizer(&acs_schema());
-        let session = SynthesisEngine::builder()
+        SynthesisEngine::builder()
             .privacy_test(
                 PrivacyTestConfig::randomized(20, 4.0, 1.0).with_limits(Some(40), Some(500)),
             )
             .seed(11)
             .train(&population, &bucketizer)
+            .unwrap()
+    }
+
+    #[test]
+    fn provenance_fold_injection_preserves_object_shape() {
+        let session = trained_session();
+        let report = session
+            .generate(&sgf_core::GenerateRequest::new(3).with_seed(5))
             .unwrap();
+        let fold = FoldInfo {
+            members: vec![7, 9, 12],
+        };
+        let text = batch_response(&report, Some(fold.to_json(9)));
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines.len(), report.stats.released + 2);
+        for line in &lines {
+            let parsed = Value::parse(line).unwrap();
+            assert_eq!(&parsed.render(), line, "not canonical JSON");
+        }
+        // The header's provenance is the report's block plus one field.
+        let header = Value::parse(lines[0]).unwrap();
+        let provenance = header.get("provenance").unwrap();
+        assert_eq!(
+            provenance.get("fold").map(Value::render).as_deref(),
+            Some("{\"members\":[7,9,12],\"request_id\":9,\"size\":3}")
+        );
+        let mut unfolded = provenance.as_obj().unwrap().clone();
+        unfolded.remove("fold");
+        assert_eq!(Value::Obj(unfolded), report.provenance_json());
+        // Unfolded requests carry the provenance block unchanged.
+        let text = batch_response(&report, None);
+        let header = Value::parse(text.lines().next().unwrap()).unwrap();
+        assert_eq!(header.get("provenance"), Some(&report.provenance_json()));
+        // The streaming trailer stamps folds the same way.
+        let trailer = protocol::stream_end_line(
+            3,
+            report.stats.to_json(),
+            report.ledger.to_json(),
+            with_fold(report.provenance_json(), Some(fold.to_json(7))),
+        );
+        assert_eq!(Value::parse(&trailer).unwrap().render(), trailer);
+    }
+
+    #[test]
+    fn over_delivered_stream_is_counted_not_swallowed() {
+        let session = trained_session();
         let cap = cap_admitting(&session, 20).unwrap();
         session.try_reserve(5, cap).unwrap();
         let counter = sgf_metrics::counter("serve.over_delivered");

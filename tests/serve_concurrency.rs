@@ -552,3 +552,34 @@ fn retry_hint_tracks_observed_service_time() {
     closer.shutdown().unwrap();
     handle.join().unwrap();
 }
+
+/// A nesting bomb (100,000 `[` on one 100 KB line) is one more malformed
+/// request: its sender gets a typed `bad_request`, and another client's
+/// generate is still served.  The parser's depth limit is what keeps the
+/// connection thread's stack, and so the whole process, alive.
+#[test]
+fn nesting_bomb_is_rejected_while_other_clients_are_served() {
+    let handle = serve(
+        ServeConfig::default(),
+        vec![SessionEntry::new(train_session(37))],
+    )
+    .unwrap();
+    let mut attacker = Client::connect(handle.addr()).unwrap();
+    let mut bystander = Client::connect(handle.addr()).unwrap();
+
+    let err = attacker.raw_roundtrip(&"[".repeat(100_000)).unwrap_err();
+    assert!(
+        matches!(&err, ClientError::Rejected(r) if r.code == reject::BAD_REQUEST),
+        "{err}"
+    );
+    let release = bystander
+        .generate(&GenerateCall::new(4).with_request(GenerateRequest::new(4).with_seed(3)))
+        .unwrap();
+    assert_eq!(release.records.len(), release.released);
+    assert!(release.released > 0);
+    // The attacker's connection stays usable too.
+    assert!(attacker.status().is_ok());
+
+    bystander.shutdown().unwrap();
+    handle.join().unwrap();
+}

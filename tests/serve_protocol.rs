@@ -93,7 +93,7 @@ fn status_and_ledger_verbs_report_server_state() {
     assert_eq!(status.get("workers").and_then(|v| v.as_u64()), Some(2));
     let sessions: Vec<&str> = status
         .get("sessions")
-        .and_then(|v| v.as_array())
+        .and_then(|v| v.as_arr())
         .unwrap()
         .iter()
         .filter_map(|v| v.as_str())
@@ -312,7 +312,7 @@ fn metrics_trace_and_provenance_expose_the_release_lifecycle() {
         response
             .get("metrics")
             .and_then(|m| m.get("summaries"))
-            .and_then(|s| s.as_object())
+            .and_then(|s| s.as_obj())
             .map_or(0, |entries| entries.len())
     };
     assert_eq!(summary_count(&response), 0);
@@ -329,7 +329,7 @@ fn metrics_trace_and_provenance_expose_the_release_lifecycle() {
     let events = response
         .get("trace")
         .and_then(|t| t.get("events"))
-        .and_then(|e| e.as_array())
+        .and_then(|e| e.as_arr())
         .expect("trace returns an event array");
     let labels_of = |event: &sgf::serve::json::Value| {
         event
@@ -381,6 +381,89 @@ fn metrics_trace_and_provenance_expose_the_release_lifecycle() {
     }
 
     client.shutdown().unwrap();
+    handle.join().unwrap();
+}
+
+/// Send one raw request line and read its whole response: one line, or a
+/// generate's header, record lines, and trailer.
+fn exchange(
+    writer: &mut std::net::TcpStream,
+    reader: &mut impl std::io::BufRead,
+    request: &str,
+) -> Vec<String> {
+    use std::io::Write;
+    writeln!(writer, "{request}").unwrap();
+    let mut lines = Vec::new();
+    loop {
+        let mut line = String::new();
+        assert!(reader.read_line(&mut line).unwrap() > 0, "server hung up");
+        let line = line.trim_end().to_string();
+        let value = sgf::serve::json::Value::parse(&line).unwrap();
+        let more = value.get("verb").and_then(|v| v.as_str()) == Some("generate")
+            || value.get("record").is_some();
+        lines.push(line);
+        if !more {
+            return lines;
+        }
+    }
+}
+
+/// Every line the server writes is canonical JSON: parsing it and rendering
+/// it again reproduces the line byte for byte.  Covers the batch and stream
+/// headers and trailers (with their float-bearing stats, ledger, and
+/// provenance blocks), rejections with extra fields, and the `status`,
+/// `ledger`, `metrics`, `trace`, `update`, and `shutdown` responses.
+#[test]
+fn every_response_line_round_trips_canonically() {
+    use sgf::serve::cap_admitting;
+    let session = train_session(53);
+    let cap = cap_admitting(&session, 8).unwrap();
+    let handle = serve(
+        ServeConfig::default(),
+        vec![SessionEntry::new(session).named("wire").capped(cap)],
+    )
+    .unwrap();
+    let mut writer = std::net::TcpStream::connect(handle.addr()).unwrap();
+    let mut reader = std::io::BufReader::new(writer.try_clone().unwrap());
+
+    let mut lines = Vec::new();
+    for request in [
+        r#"{"verb":"generate","session":"wire","target":4,"seed":1,"workers":1}"#,
+        r#"{"verb":"generate","session":"wire","target":4,"seed":2,"stream":true}"#,
+        r#"{"verb":"generate","session":"wire","target":100}"#,
+        r#"{"verb":"generate","session":"nope","target":1}"#,
+        "not json",
+        r#"{"verb":"status"}"#,
+        r#"{"verb":"ledger","session":"wire"}"#,
+        r#"{"verb":"metrics"}"#,
+        r#"{"verb":"metrics","session":"wire","noisy":true}"#,
+        r#"{"verb":"trace"}"#,
+        r#"{"verb":"trace","session":"wire","noisy":true}"#,
+        r#"{"verb":"update","session":"wire","deletes":[[0]]}"#,
+        r#"{"verb":"shutdown"}"#,
+    ] {
+        lines.extend(exchange(&mut writer, &mut reader, request));
+    }
+    for line in &lines {
+        let parsed = sgf::serve::json::Value::parse(line).unwrap();
+        assert_eq!(&parsed.render(), line, "not canonical JSON");
+    }
+    // The batch header's provenance keeps its float fields floats.
+    assert!(lines[0].contains("\"gamma\":4.0"), "{}", lines[0]);
+    let errors: Vec<&str> = lines
+        .iter()
+        .filter_map(|line| line.split("\"error\":\"").nth(1))
+        .filter_map(|rest| rest.split('"').next())
+        .collect();
+    assert_eq!(
+        errors,
+        [
+            reject::BUDGET_EXHAUSTED,
+            reject::UNKNOWN_SESSION,
+            reject::BAD_REQUEST,
+            reject::BAD_REQUEST
+        ]
+    );
     handle.join().unwrap();
 }
 
